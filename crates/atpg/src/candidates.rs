@@ -19,8 +19,8 @@ use crate::Substitution;
 use powder_library::CellId;
 use powder_netlist::{Conn, GateId, GateKind, Netlist};
 use powder_sim::{
-    branch_observability, branch_observability_scoped, stem_observability_all,
-    stem_observability_scoped, CellCovers, SimValues,
+    branch_observability, branch_observability_scoped, propagate_difference, stem_observability,
+    stem_observability_scoped, topo_positions, CellCovers, SimValues,
 };
 // Ordered maps throughout: candidate generation must be a pure function
 // of the netlist and simulation values with no dependence on hash-map
@@ -244,38 +244,27 @@ pub fn generate_candidates_scoped(
     config: &CandidateConfig,
     scope: Option<&CandidateScope>,
 ) -> Vec<Substitution> {
-    // Topological positions, shared by every scoped propagation below
-    // (the unscoped path computes its own inside `powder_sim`).
-    let pos: Option<Vec<u32>> = scope.map(|_| {
-        let mut pos = vec![u32::MAX; nl.id_bound()];
-        for (i, g) in nl.topo_order().into_iter().enumerate() {
-            pos[g.0 as usize] = i as u32;
-        }
-        pos
-    });
+    // Topological positions, shared by every difference propagation below.
+    let pos = topo_positions(nl);
     // Observability masks are only ever read for scope sources (IS
     // branch drivers) and scope targets (OS stems), and a scoped call
     // measures them window-locally (escaping edges count as observed —
     // the same over-approximation as the scoped permissibility proof),
     // so the whole-netlist `O(Σ |TFO| · words)` sweep is skipped — the
     // point of windowing on large netlists.
-    let obs = match scope {
-        None => stem_observability_all(nl, covers, values),
-        Some(s) => {
-            let pos = pos.as_deref().expect("computed for scoped calls");
-            let mut out = vec![Vec::new(); nl.id_bound()];
-            for id in nl.iter_live() {
-                if matches!(nl.kind(id), GateKind::Output) {
-                    continue;
-                }
-                if s.is_source(id) || s.is_target(id) {
-                    out[id.0 as usize] =
-                        stem_observability_scoped(nl, covers, values, id, &s.sources, pos);
-                }
-            }
-            out
+    let mut obs = vec![Vec::new(); nl.id_bound()];
+    for id in nl.iter_live() {
+        if matches!(nl.kind(id), GateKind::Output) {
+            continue;
         }
-    };
+        obs[id.0 as usize] = match scope {
+            None => stem_observability(nl, covers, values, id, &pos),
+            Some(s) if s.is_source(id) || s.is_target(id) => {
+                stem_observability_scoped(nl, covers, values, id, &s.sources, &pos)
+            }
+            Some(_) => continue,
+        };
+    }
     let mut out: Vec<Substitution> = Vec::new();
     let is_target = |g: GateId| scope.is_none_or(|s| s.is_target(g));
 
@@ -536,16 +525,10 @@ pub fn generate_candidates_scoped(
                 obs[a.0 as usize].clone()
             } else {
                 match scope {
-                    Some(s) => branch_observability_scoped(
-                        nl,
-                        covers,
-                        values,
-                        a,
-                        conn,
-                        &s.sources,
-                        pos.as_deref().expect("computed for scoped calls"),
-                    ),
-                    None => branch_observability(nl, covers, values, a, conn),
+                    Some(s) => {
+                        branch_observability_scoped(nl, covers, values, a, conn, &s.sources, &pos)
+                    }
+                    None => branch_observability(nl, covers, values, a, conn, &pos),
                 }
             };
             if care.iter().all(|&w| w == 0) {
@@ -677,6 +660,52 @@ pub fn generate_candidates_scoped(
     out
 }
 
+/// The candidate filter's question for one given substitution: does a
+/// simulated pattern already witness that `sub` is not permissible?
+///
+/// Forces the substituting signal's word — `sig(b)` (complemented when
+/// `invert`), or the new cell evaluated on `sig(b), sig(c)` for OS3/IS3
+/// — onto the substituted stem (OS) or branch (IS) and propagates the
+/// difference exactly to the primary outputs. `true` means some pattern
+/// tells the rewired circuit from the current one, so the exact check
+/// would refute `sub` too; `false` proves nothing. When the forced word
+/// equals the current one (a signature-equal suspicion) no pattern can
+/// refute, and the answer is `false` without any propagation.
+///
+/// `values` must be the exact simulation of `nl`, `pos` its
+/// [`topo_positions`], and `sub` structurally valid.
+#[must_use]
+pub fn refuted_by_simulation(
+    nl: &Netlist,
+    covers: &CellCovers,
+    values: &SimValues,
+    sub: &Substitution,
+    pos: &[u32],
+) -> bool {
+    let forced: Vec<u64> = match *sub {
+        Substitution::Os2 { b, invert, .. } | Substitution::Is2 { b, invert, .. } => {
+            let mask = if invert { u64::MAX } else { 0 };
+            values.get(b).iter().map(|&w| w ^ mask).collect()
+        }
+        Substitution::Os3 { cell, b, c, .. } | Substitution::Is3 { cell, b, c, .. } => values
+            .get(b)
+            .iter()
+            .zip(values.get(c))
+            .map(|(&wb, &wc)| covers.eval_word(cell, &[wb, wc]))
+            .collect(),
+    };
+    let branch = match *sub {
+        Substitution::Os2 { .. } | Substitution::Os3 { .. } => None,
+        Substitution::Is2 { sink, pin, .. } | Substitution::Is3 { sink, pin, .. } => {
+            Some(Conn { gate: sink, pin })
+        }
+    };
+    let stem = sub.substituted_stem(nl);
+    propagate_difference(nl, covers, values, stem, &forced, branch, pos)
+        .iter()
+        .any(|&w| w != 0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,6 +773,85 @@ mod tests {
                 "exhaustive filter admitted a non-permissible candidate {cand:?}"
             );
         }
+    }
+
+    /// With exhaustive patterns a simulation witness exists iff the
+    /// substitution is not permissible, so [`refuted_by_simulation`]
+    /// must agree with the exact check on every OS2/IS2/OS3/IS3.
+    #[test]
+    fn exhaustive_simulation_refutation_is_exact() {
+        let lib = Arc::new(lib2());
+        let and2 = lib.find_by_name("and2").unwrap();
+        let or2 = lib.find_by_name("or2").unwrap();
+        let xor2 = lib.find_by_name("xor2").unwrap();
+        let mut nl = Netlist::new("t", lib);
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let c = nl.add_input("c");
+        let g1 = nl.add_cell("g1", and2, &[a, b]);
+        let g2 = nl.add_cell("g2", or2, &[g1, a]);
+        let g3 = nl.add_cell("g3", xor2, &[g2, c]);
+        let g4 = nl.add_cell("g4", and2, &[g3, g1]);
+        nl.add_output("f", g4);
+        nl.add_output("h", g2);
+
+        let covers = CellCovers::new(nl.library());
+        let vals = simulate(&nl, &covers, &Patterns::exhaustive(3));
+        let pos = topo_positions(&nl);
+        let signals = [a, b, c, g1, g2, g3, g4];
+        let mut subs = Vec::new();
+        for &x in &signals {
+            for &y in &signals {
+                for invert in [false, true] {
+                    subs.push(Substitution::Os2 { a: x, b: y, invert });
+                }
+                for cell in [and2, or2, xor2] {
+                    for &z in &signals {
+                        subs.push(Substitution::Os3 {
+                            a: x,
+                            cell,
+                            b: y,
+                            c: z,
+                        });
+                    }
+                }
+            }
+        }
+        for sink in [g1, g2, g3, g4] {
+            for pin in 0..2 {
+                for &y in &signals {
+                    for invert in [false, true] {
+                        subs.push(Substitution::Is2 {
+                            sink,
+                            pin,
+                            b: y,
+                            invert,
+                        });
+                    }
+                    for &z in &signals {
+                        subs.push(Substitution::Is3 {
+                            sink,
+                            pin,
+                            cell: and2,
+                            b: y,
+                            c: z,
+                        });
+                    }
+                }
+            }
+        }
+        let (mut refuted, mut kept) = (0, 0);
+        for sub in subs.iter().filter(|s| s.is_structurally_valid(&nl)) {
+            let by_sim = refuted_by_simulation(&nl, &covers, &vals, sub, &pos);
+            let by_atpg = check_substitution(&nl, sub, 10_000) != CheckOutcome::Permissible;
+            assert_eq!(by_sim, by_atpg, "{sub:?}");
+            if by_sim {
+                refuted += 1;
+            } else {
+                kept += 1;
+            }
+        }
+        assert!(refuted > 0 && kept > 0, "{refuted} refuted, {kept} kept");
     }
 
     /// With few random patterns the filter may admit impostors, but the

@@ -11,7 +11,9 @@
 //! * [`generate_candidates`] — the fault-simulation-based filter behind the
 //!   paper's `get_candidate_substitutions`: a candidate `a ← b` survives iff
 //!   its signature difference is masked by `a`'s observability don't-cares
-//!   on every simulated pattern;
+//!   on every simulated pattern; [`refuted_by_simulation`] asks the same
+//!   of one given substitution, so callers outside the candidate loop can
+//!   skip proofs a retained pattern already refutes;
 //! * [`check_substitution`] — the exact proof behind `check_candidate`: a
 //!   cone-local miter between the original and rewired transitive fanout is
 //!   handed to a PODEM-style branch-and-bound circuit-SAT solver
@@ -60,7 +62,8 @@ mod sat;
 mod tests_support;
 
 pub use candidates::{
-    generate_candidates, generate_candidates_scoped, CandidateConfig, CandidateScope,
+    generate_candidates, generate_candidates_scoped, refuted_by_simulation, CandidateConfig,
+    CandidateScope,
 };
 pub use check::{check_substitution, CheckArena, CheckOutcome, Substitution};
 pub use equiv::{check_equivalence, EquivOutcome};

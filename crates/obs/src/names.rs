@@ -153,6 +153,9 @@ pub const PIPELINE_ITERATIONS: &str = "passes.pipeline.iterations";
 pub const PIPELINE_EDITS: &str = "passes.pipeline.edits";
 /// ATPG permissibility checks issued by non-POWDER passes.
 pub const PASSES_ATPG_CHECKS: &str = "passes.atpg.checks";
+/// Pass-layer substitutions rejected by the session's retained
+/// simulation patterns, each one an ATPG proof not run.
+pub const PASSES_SIM_REFUTED: &str = "passes.sim_refuted";
 
 // --- egraph.* — the equality-saturation pass ---
 

@@ -96,11 +96,20 @@ impl TieConsts {
 
 /// Proves `sub` power-saving and permissible against the session's
 /// analyses, applying it if so. Returns whether it was committed.
+///
+/// As in the paper's Fig. 5 loop, ATPG only sees what simulation could
+/// not refute: a retained pattern that tells the rewired circuit apart
+/// rejects `sub` before the gain analysis and the proof. That filter is
+/// exact, so it changes which proofs run, never which edits commit.
 fn try_commit(sess: &mut AnalysisSession, sub: &Substitution, backtrack_limit: usize) -> bool {
-    let (nl, est) = sess.analyses();
-    if !sub.is_structurally_valid(nl) {
+    if !sub.is_structurally_valid(sess.netlist()) {
         return false;
     }
+    if sess.refutes(sub) {
+        obs::counter!(obs::names::PASSES_SIM_REFUTED).inc();
+        return false;
+    }
+    let (nl, est) = sess.analyses();
     // Monotonicity gate: passes in a pipeline never increase Σ C·E.
     if analyze_full(nl, est, sub).total() < -1e-12 {
         return false;
@@ -275,14 +284,17 @@ impl Transform for SweepPass {
     }
 }
 
-/// ATPG redundancy removal through the shared session: ties provably
-/// redundant gate-input pins to constants (each tie is an IS2 whose
-/// source is a constant driver, proven by the same cone-local miter as
-/// POWDER's substitutions) and sweeps the logic that dangles.
+/// ATPG redundancy removal through the shared session — the classic
+/// companion transformation (paper ref \[1\], Cheng & Entrena): ties
+/// provably redundant gate-input pins to constants (each tie is an IS2
+/// whose source is a constant driver, proven by the same cone-local
+/// miter as POWDER's substitutions) and sweeps the logic that dangles.
 ///
-/// Unlike the standalone [`powder::redundancy::remove_redundancies`],
-/// this pass also requires each tie to be non-increasing in `Σ C·E`,
-/// keeping any pipeline ordering monotone in power.
+/// A pin is redundant iff its stuck-at fault is untestable, so almost
+/// every pin × value pair is refuted: the session's retained patterns
+/// reject most of them without a proof (see `try_commit`). Each tie must
+/// also be non-increasing in `Σ C·E`, keeping any pipeline ordering
+/// monotone in power.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RedundancyPass;
 
@@ -407,5 +419,93 @@ impl Transform for ResizePass {
             }
             (edits, None)
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::SessionConfig;
+    use powder_library::lib2;
+    use powder_sim::{simulate, CellCovers, Patterns};
+    use std::sync::Arc;
+
+    fn po_sigs(nl: &Netlist) -> Vec<Vec<u64>> {
+        let covers = CellCovers::new(nl.library());
+        let pats = Patterns::exhaustive(nl.inputs().len());
+        let vals = simulate(nl, &covers, &pats);
+        nl.outputs().iter().map(|&o| vals.get(o).to_vec()).collect()
+    }
+
+    /// Runs [`RedundancyPass`] on `nl` with a generous proof budget.
+    fn remove_redundancies(nl: Netlist) -> (Netlist, PassReport) {
+        let mut sess = AnalysisSession::new(nl, SessionConfig::default());
+        let budget = PassBudget {
+            backtrack_limit: 10_000,
+            ..PassBudget::default()
+        };
+        let report = RedundancyPass.run(&mut sess, &budget);
+        (sess.into_netlist(), report)
+    }
+
+    /// f = (a & b) | a == a: the b-pin of the AND is redundant.
+    #[test]
+    fn removes_classic_redundant_pin() {
+        let lib = Arc::new(lib2());
+        let and2 = lib.find_by_name("and2").unwrap();
+        let or2 = lib.find_by_name("or2").unwrap();
+        let mut nl = Netlist::new("t", lib);
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let g1 = nl.add_cell("g1", and2, &[a, b]);
+        let g2 = nl.add_cell("g2", or2, &[g1, a]);
+        nl.add_output("f", g2);
+        let before = po_sigs(&nl);
+        let (nl, report) = remove_redundancies(nl);
+        nl.validate().unwrap();
+        assert_eq!(po_sigs(&nl), before, "function preserved");
+        assert!(report.edits >= 1, "{report}");
+        assert!(report.area_after < report.area_before, "{report}");
+    }
+
+    #[test]
+    fn irredundant_circuit_untouched() {
+        let lib = Arc::new(lib2());
+        let xor2 = lib.find_by_name("xor2").unwrap();
+        let mut nl = Netlist::new("t", lib);
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let g = nl.add_cell("g", xor2, &[a, b]);
+        nl.add_output("f", g);
+        let (nl, report) = remove_redundancies(nl);
+        assert_eq!(report.edits, 0);
+        assert_eq!(nl.cell_count(), 1);
+        assert!(
+            nl.iter_live()
+                .all(|g| !matches!(nl.kind(g), GateKind::Const(_))),
+            "unused tie constants are swept"
+        );
+    }
+
+    /// g2 = (a & b) & !b == 0, so g3 = g2 | g1 == a & b: one tie strands
+    /// more logic, and the pass iterates to a fixpoint.
+    #[test]
+    fn cascading_removal_reaches_fixpoint() {
+        let lib = Arc::new(lib2());
+        let and2 = lib.find_by_name("and2").unwrap();
+        let or2 = lib.find_by_name("or2").unwrap();
+        let andn2 = lib.find_by_name("andn2").unwrap();
+        let mut nl = Netlist::new("t", lib);
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let g1 = nl.add_cell("g1", and2, &[a, b]);
+        let g2 = nl.add_cell("g2", andn2, &[g1, b]);
+        let g3 = nl.add_cell("g3", or2, &[g2, g1]);
+        nl.add_output("f", g3);
+        let before = po_sigs(&nl);
+        let (nl, report) = remove_redundancies(nl);
+        nl.validate().unwrap();
+        assert_eq!(po_sigs(&nl), before);
+        assert!(report.edits >= 1, "{report}");
     }
 }

@@ -1,12 +1,12 @@
 //! The shared analysis context every pass runs against.
 
 use powder::{optimize_with, OptimizeConfig, OptimizeReport, SharedAnalyses};
-use powder_atpg::Substitution;
+use powder_atpg::{refuted_by_simulation, Substitution};
 use powder_engine::SessionStats;
 use powder_netlist::{ConeScratch, GateId, Netlist};
 use powder_obs as obs;
 use powder_power::{PowerConfig, PowerEstimator};
-use powder_sim::{resimulate_cone, simulate, Patterns, SimValues};
+use powder_sim::{resimulate_cone, simulate, topo_positions, Patterns, SimValues};
 use powder_timing::{TimingAnalysis, TimingConfig};
 
 /// Configuration of an [`AnalysisSession`]: the power model plus the
@@ -74,6 +74,9 @@ pub struct AnalysisSession {
     sta: Option<TimingAnalysis>,
     cone_scratch: ConeScratch,
     cone: Vec<GateId>,
+    /// Topological positions for [`AnalysisSession::refutes`], keyed by
+    /// the netlist generation they were computed at.
+    topo: Option<(u64, Vec<u32>)>,
     stats: SessionStats,
 }
 
@@ -95,6 +98,7 @@ impl AnalysisSession {
             sta: None,
             cone_scratch: ConeScratch::new(),
             cone: Vec::new(),
+            topo: None,
             stats: SessionStats {
                 full_power_builds: 1,
                 ..SessionStats::default()
@@ -271,6 +275,24 @@ impl AnalysisSession {
         )
     }
 
+    /// Whether a retained simulation pattern already shows that `sub`
+    /// (structurally valid) is not permissible — see
+    /// [`powder_atpg::refuted_by_simulation`]. A `true` answer is a
+    /// witness the exact proof would also find, so callers reject
+    /// without proving. Reads the refreshed signatures and the
+    /// topological positions, which are recomputed only after the
+    /// netlist's structure changed.
+    pub fn refutes(&mut self, sub: &Substitution) -> bool {
+        self.signatures();
+        let generation = self.nl.generation();
+        if self.topo.as_ref().is_none_or(|(g, _)| *g != generation) {
+            self.topo = Some((generation, topo_positions(&self.nl)));
+        }
+        let (_, pos) = self.topo.as_ref().expect("computed above");
+        let values = self.shared.values.as_ref().expect("materialized above");
+        refuted_by_simulation(&self.nl, &self.shared.covers, values, sub, pos)
+    }
+
     /// Applies a proven substitution and repairs the analyses over its
     /// dirty cone.
     pub fn apply(&mut self, sub: &Substitution) -> powder::apply::ApplyResult {
@@ -323,6 +345,9 @@ impl AnalysisSession {
             .map(|i| GateId(i as u32))
             .collect();
         self.nl.rollback(scp.cp);
+        // The rollback rewinds the generation counter, so a later edit
+        // could reuse the generation the cached order was keyed on.
+        self.topo = None;
         self.shared.est.retire_gates(&created);
         self.cone.clear();
         let live_roots = scp.roots.iter().copied().filter(|&g| self.nl.is_live(g));

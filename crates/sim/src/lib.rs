@@ -10,6 +10,9 @@
 //!   observability masks computed by forward difference propagation (the
 //!   bit-parallel equivalent of simulating the stuck-at fault pair at the
 //!   signal);
+//! * [`propagate_difference`] — the same propagation for an arbitrary
+//!   forced word, which refutes a candidate substitution outright when
+//!   some pattern shows the rewired circuit's outputs differ;
 //! * [`ones_fraction`] — Monte-Carlo signal probabilities used to
 //!   cross-check the analytic estimator in `powder-power`.
 //!
@@ -30,8 +33,8 @@ mod simulate;
 
 pub use covers::CellCovers;
 pub use observe::{
-    branch_observability, branch_observability_scoped, stem_observability, stem_observability_all,
-    stem_observability_scoped,
+    branch_observability, branch_observability_scoped, propagate_difference, stem_observability,
+    stem_observability_all, stem_observability_scoped, topo_positions,
 };
 pub use patterns::Patterns;
 pub use simulate::{ones_fraction, resimulate_cone, simulate, SavedValues, SimValues};

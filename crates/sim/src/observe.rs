@@ -9,17 +9,33 @@ use crate::{CellCovers, SimValues};
 use powder_netlist::{Conn, GateId, GateKind, Netlist};
 use std::collections::{HashMap, HashSet};
 
+/// Topological positions of the live gates, indexed by raw gate id (dead
+/// ids map to `u32::MAX`): the `pos` argument every observability query
+/// takes. Valid until the next structural edit of `nl`; callers compute
+/// it once and share it across queries.
+#[must_use]
+pub fn topo_positions(nl: &Netlist) -> Vec<u32> {
+    let mut pos = vec![u32::MAX; nl.id_bound()];
+    for (i, g) in nl.topo_order().into_iter().enumerate() {
+        pos[g.0 as usize] = i as u32;
+    }
+    pos
+}
+
 /// Observability mask of stem `stem`: for each pattern, whether flipping the
 /// stem (all its branches at once) is visible at any primary output.
+///
+/// `pos` comes from [`topo_positions`]; work is `O(|TFO| · words)`.
 #[must_use]
 pub fn stem_observability(
     nl: &Netlist,
     covers: &CellCovers,
     values: &SimValues,
     stem: GateId,
+    pos: &[u32],
 ) -> Vec<u64> {
     let flipped: Vec<u64> = values.get(stem).iter().map(|w| !w).collect();
-    propagate_difference(nl, covers, values, stem, &flipped, None)
+    propagate_difference(nl, covers, values, stem, &flipped, None, pos)
 }
 
 /// Observability mask of one branch `conn` of stem `stem`: flipping the
@@ -34,9 +50,10 @@ pub fn branch_observability(
     values: &SimValues,
     stem: GateId,
     conn: Conn,
+    pos: &[u32],
 ) -> Vec<u64> {
     let flipped: Vec<u64> = values.get(stem).iter().map(|w| !w).collect();
-    propagate_difference(nl, covers, values, stem, &flipped, Some(conn))
+    propagate_difference(nl, covers, values, stem, &flipped, Some(conn), pos)
 }
 
 /// Window-local observability of `stem`: difference propagation is
@@ -81,44 +98,52 @@ pub fn branch_observability_scoped(
 }
 
 /// Observability masks for every live stem, indexed by raw gate id (dead
-/// gates get empty vectors). `O(Σ |TFO| · words)` overall.
+/// gates get empty vectors). `O(Σ |TFO| · words)` overall: the
+/// topological positions are computed once for all stems.
 #[must_use]
 pub fn stem_observability_all(
     nl: &Netlist,
     covers: &CellCovers,
     values: &SimValues,
 ) -> Vec<Vec<u64>> {
+    let pos = topo_positions(nl);
     let mut out = vec![Vec::new(); nl.id_bound()];
     for id in nl.iter_live() {
         if matches!(nl.kind(id), GateKind::Output) {
             continue;
         }
-        out[id.0 as usize] = stem_observability(nl, covers, values, id);
+        out[id.0 as usize] = stem_observability(nl, covers, values, id, &pos);
     }
     out
 }
 
-/// Propagates a forced value `forced` at `source` through the transitive
-/// fanout (restricted to branch `only_branch` at the source when given) and
-/// returns the OR of the resulting primary-output differences.
-fn propagate_difference(
+/// Forces the word `forced` onto `source` — onto its stem, or only onto
+/// the sink pin `only_branch` when given — propagates the difference
+/// exactly through the transitive fanout, and returns the OR of the
+/// resulting primary-output differences: bit `t` is set iff pattern `t`
+/// tells the forced circuit from the simulated one.
+///
+/// `values` must be the simulation of `nl` and `pos` its
+/// [`topo_positions`]. Returns all zeros without walking the fanout when
+/// `forced` equals the current value.
+#[must_use]
+pub fn propagate_difference(
     nl: &Netlist,
     covers: &CellCovers,
     values: &SimValues,
     source: GateId,
     forced: &[u64],
     only_branch: Option<Conn>,
+    pos: &[u32],
 ) -> Vec<u64> {
     let words = values.words();
     let mut obs = vec![0u64; words];
+    if forced == values.get(source) {
+        return obs;
+    }
 
     // Sort the TFO by topological position so each gate is evaluated after
     // all its (possibly modified) fanins.
-    let topo = nl.topo_order();
-    let mut pos = vec![u32::MAX; nl.id_bound()];
-    for (i, &g) in topo.iter().enumerate() {
-        pos[g.0 as usize] = i as u32;
-    }
     let mut tfo: Vec<GateId> = match only_branch {
         Some(conn) => {
             let mut v = nl.tfo(conn.gate);
@@ -132,10 +157,6 @@ fn propagate_difference(
     // modified[g] = packed values under the forced difference, only for
     // gates whose value actually changed.
     let mut modified: HashMap<GateId, Vec<u64>> = HashMap::new();
-    let changed_any = forced.iter().zip(values.get(source)).any(|(f, o)| f != o);
-    if !changed_any {
-        return obs;
-    }
     if only_branch.is_none() {
         modified.insert(source, forced.to_vec());
     }
@@ -331,13 +352,14 @@ mod tests {
         let covers = CellCovers::new(nl.library());
         let p = Patterns::exhaustive(3);
         let v = simulate(&nl, &covers, &p);
-        let obs_d = stem_observability(&nl, &covers, &v, d);
+        let pos = topo_positions(&nl);
+        let obs_d = stem_observability(&nl, &covers, &v, d, &pos);
         for m in 0..8usize {
             let expect = m & 2 != 0; // b = input index 1
             assert_eq!((obs_d[m / 64] >> (m % 64)) & 1 == 1, expect, "pattern {m}");
         }
         // The output stem itself is always observable.
-        let obs_f = stem_observability(&nl, &covers, &v, f);
+        let obs_f = stem_observability(&nl, &covers, &v, f, &pos);
         for m in 0..8usize {
             assert_eq!((obs_f[m / 64] >> (m % 64)) & 1, 1);
         }
@@ -365,7 +387,8 @@ mod tests {
         let v = simulate(&nl, &covers, &p);
 
         // Stem a: flipping a flips f = a always. Observable on all patterns.
-        let obs_a = stem_observability(&nl, &covers, &v, a);
+        let pos = topo_positions(&nl);
+        let obs_a = stem_observability(&nl, &covers, &v, a, &pos);
         for m in 0..4usize {
             assert_eq!((obs_a[0] >> m) & 1, 1, "stem a pattern {m}");
         }
@@ -377,7 +400,7 @@ mod tests {
             .copied()
             .find(|c| c.gate == g1)
             .unwrap();
-        let obs_branch = branch_observability(&nl, &covers, &v, a, conn);
+        let obs_branch = branch_observability(&nl, &covers, &v, a, conn, &pos);
         for m in 0..4usize {
             let (av, bv) = (m & 1 != 0, m & 2 != 0);
             let f_orig = av;
@@ -404,8 +427,12 @@ mod tests {
         let p = Patterns::random(2, 4, 9);
         let v = simulate(&nl, &covers, &p);
         let all = stem_observability_all(&nl, &covers, &v);
+        let pos = topo_positions(&nl);
         for id in [a, b, g1, g2] {
-            assert_eq!(all[id.0 as usize], stem_observability(&nl, &covers, &v, id));
+            assert_eq!(
+                all[id.0 as usize],
+                stem_observability(&nl, &covers, &v, id, &pos)
+            );
         }
     }
 }

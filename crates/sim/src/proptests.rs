@@ -2,7 +2,9 @@
 //! per-pattern reference evaluator, and observability against brute-force
 //! output flipping.
 
-use crate::{branch_observability, simulate, stem_observability, CellCovers, Patterns};
+use crate::{
+    branch_observability, simulate, stem_observability, topo_positions, CellCovers, Patterns,
+};
 use powder_library::lib2;
 use powder_netlist::{GateId, GateKind, Netlist};
 use proptest::prelude::*;
@@ -104,11 +106,12 @@ proptest! {
         let covers = CellCovers::new(nl.library());
         let pats = Patterns::exhaustive(inputs);
         let vals = simulate(&nl, &covers, &pats);
+        let pos = topo_positions(&nl);
         for g in nl.iter_live().collect::<Vec<_>>() {
             if matches!(nl.kind(g), GateKind::Output) {
                 continue;
             }
-            let obs = stem_observability(&nl, &covers, &vals, g);
+            let obs = stem_observability(&nl, &covers, &vals, g, &pos);
             for m in 0..(1usize << inputs) {
                 let assignment: Vec<bool> = (0..inputs).map(|i| (m >> i) & 1 == 1).collect();
                 let reference = reference_eval(&nl, &assignment);
@@ -157,6 +160,7 @@ proptest! {
         let covers = CellCovers::new(nl.library());
         let pats = Patterns::exhaustive(inputs);
         let vals = simulate(&nl, &covers, &pats);
+        let pos = topo_positions(&nl);
         for g in nl.iter_live().collect::<Vec<_>>() {
             if matches!(nl.kind(g), GateKind::Output) || nl.fanouts(g).len() != 1 {
                 continue;
@@ -165,8 +169,8 @@ proptest! {
             if matches!(nl.kind(conn.gate), GateKind::Output) {
                 continue;
             }
-            let stem = stem_observability(&nl, &covers, &vals, g);
-            let branch = branch_observability(&nl, &covers, &vals, g, conn);
+            let stem = stem_observability(&nl, &covers, &vals, g, &pos);
+            let branch = branch_observability(&nl, &covers, &vals, g, conn, &pos);
             prop_assert_eq!(stem, branch, "gate {}", g);
         }
     }

@@ -142,7 +142,10 @@ pub fn resimulate_cone(nl: &Netlist, covers: &CellCovers, values: &mut SimValues
     let mut fanin_words: Vec<u64> = Vec::with_capacity(8);
     for &id in cone {
         match nl.kind(id) {
-            GateKind::Input | GateKind::Const(_) => {}
+            GateKind::Input => {}
+            // A constant created after the buffer was materialized sits
+            // in the zero-filled tail `grow` added; write its word.
+            GateKind::Const(v) => values.get_mut(id).fill(if v { u64::MAX } else { 0 }),
             GateKind::Output => {
                 let src = nl.fanins(id)[0];
                 let src_vals: Vec<u64> = values.get(src).to_vec();
@@ -278,6 +281,23 @@ mod tests {
             assert_eq!(bit(g), !((a ^ c) && b));
             assert_eq!(bit(ids[5]), !((a ^ c) && b));
         }
+    }
+
+    #[test]
+    fn resimulate_cone_fills_constants_added_mid_run() {
+        let (mut nl, ids) = xor_and_netlist();
+        let covers = CellCovers::new(nl.library());
+        let p = Patterns::exhaustive(3);
+        let mut v = simulate(&nl, &covers, &p);
+        // Tie f's second pin to a fresh constant 1: f becomes d itself.
+        let one = nl.add_const("tie1", true);
+        nl.replace_fanin(ids[4], 1, one);
+        resimulate_cone(&nl, &covers, &mut v, &[one, ids[4], ids[5]]);
+        let fresh = simulate(&nl, &covers, &p);
+        for g in nl.iter_live() {
+            assert_eq!(v.get(g), fresh.get(g), "gate {g} differs from simulate");
+        }
+        assert!(v.get(one).iter().all(|&w| w == u64::MAX));
     }
 
     #[test]

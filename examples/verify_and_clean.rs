@@ -5,11 +5,11 @@
 //!
 //! Run with: `cargo run --release --example verify_and_clean`
 
-use powder::redundancy::remove_redundancies;
 use powder::{optimize, OptimizeConfig};
 use powder_atpg::equiv::{check_equivalence, EquivOutcome};
 use powder_library::lib2;
 use powder_netlist::{verilog, Netlist};
+use powder_passes::{AnalysisSession, PassBudget, RedundancyPass, SessionConfig, Transform};
 use std::sync::Arc;
 
 fn main() {
@@ -33,10 +33,19 @@ fn main() {
     let golden = nl.clone();
     println!("initial : {} cells, area {:.0}", nl.cell_count(), nl.area());
 
-    let red = remove_redundancies(&mut nl, 10_000);
+    let mut sess = AnalysisSession::new(nl, SessionConfig::default());
+    let budget = PassBudget {
+        backtrack_limit: 10_000,
+        ..PassBudget::default()
+    };
+    let red = RedundancyPass.run(&mut sess, &budget);
+    let cells_before = golden.cell_count();
+    let mut nl = sess.into_netlist();
     println!(
-        "redundancy removal: {} pins tied, {} gates swept, area −{:.0}",
-        red.pins_tied, red.gates_removed, red.area_removed
+        "redundancy removal: {} pins tied, {} cells swept, area −{:.0}",
+        red.edits,
+        cells_before - nl.cell_count(),
+        red.area_before - red.area_after
     );
 
     let report = optimize(&mut nl, &OptimizeConfig::default());

@@ -1,11 +1,11 @@
 //! Integration tests of the extension passes (redundancy removal, gate
 //! re-sizing, glitch measurement) composed with the main optimizer.
 
-use powder::redundancy::remove_redundancies;
 use powder::resize::resize_for_power;
 use powder::{optimize, OptimizeConfig};
 use powder_library::lib2;
 use powder_netlist::Netlist;
+use powder_passes::{AnalysisSession, PassBudget, RedundancyPass, SessionConfig, Transform};
 use powder_power::glitch::glitch_power;
 use powder_power::{PowerConfig, PowerEstimator};
 use powder_sim::{simulate, CellCovers, Patterns};
@@ -18,16 +18,28 @@ fn po_sigs(nl: &Netlist, pats: &Patterns) -> Vec<Vec<u64>> {
     nl.outputs().iter().map(|&o| vals.get(o).to_vec()).collect()
 }
 
+/// One [`RedundancyPass`] run on `sess` with the given proof budget;
+/// returns the pins it tied.
+fn redundancy(sess: &mut AnalysisSession, backtrack_limit: usize) -> usize {
+    let budget = PassBudget {
+        backtrack_limit,
+        ..PassBudget::default()
+    };
+    RedundancyPass.run(sess, &budget).edits
+}
+
 /// redundancy → POWDER → resize, all function-preserving, monotone power.
 #[test]
 fn full_pipeline_composes() {
     let lib = Arc::new(lib2());
-    let mut nl = powder_benchmarks::build("t481", lib).expect("t481 builds");
+    let nl = powder_benchmarks::build("t481", lib).expect("t481 builds");
     let pats = Patterns::random(nl.inputs().len(), 8, 77);
     let reference = po_sigs(&nl, &pats);
     let p0 = PowerEstimator::new(&nl, &PowerConfig::default()).circuit_power(&nl);
 
-    let red = remove_redundancies(&mut nl, 5_000);
+    let mut sess = AnalysisSession::new(nl, SessionConfig::default());
+    redundancy(&mut sess, 5_000);
+    let mut nl = sess.into_netlist();
     nl.validate().unwrap();
     assert_eq!(
         po_sigs(&nl, &pats),
@@ -54,7 +66,6 @@ fn full_pipeline_composes() {
     nl.validate().unwrap();
     assert_eq!(po_sigs(&nl, &pats), reference, "resize broke function");
     assert!(rs.power_saved >= -1e-9);
-    let _ = red;
 }
 
 /// Resize must never grow the circuit delay when no required time is given.
@@ -91,10 +102,10 @@ fn glitch_measurement_is_coherent() {
 #[test]
 fn redundancy_pass_idempotent() {
     let lib = Arc::new(lib2());
-    let mut nl = powder_benchmarks::build("frg1", lib).expect("frg1 builds");
-    let _ = remove_redundancies(&mut nl, 3_000);
-    let second = remove_redundancies(&mut nl, 3_000);
-    assert_eq!(second.pins_tied, 0, "{second:?}");
+    let nl = powder_benchmarks::build("frg1", lib).expect("frg1 builds");
+    let mut sess = AnalysisSession::new(nl, SessionConfig::default());
+    redundancy(&mut sess, 3_000);
+    assert_eq!(redundancy(&mut sess, 3_000), 0, "second run tied pins");
 }
 
 /// With the multi-strength `lib2x` library, the re-sizing pass downsizes

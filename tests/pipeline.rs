@@ -4,12 +4,17 @@
 //! order-independence of the function/power invariants under arbitrary
 //! pass permutations.
 
-use powder::{optimize, OptimizeConfig};
+use powder::gain::analyze_full;
+use powder::{optimize, OptimizeConfig, Substitution};
+use powder_atpg::{check_substitution, CheckOutcome};
 use powder_library::lib2;
-use powder_netlist::{blif::write_blif, GateId, Netlist};
-use powder_passes::{build_pipeline, AnalysisSession, SessionConfig};
+use powder_netlist::{blif::write_blif, GateId, GateKind, Netlist};
+use powder_passes::{
+    build_pipeline, AnalysisSession, PassBudget, RedundancyPass, SessionConfig, Transform,
+};
 use powder_sim::{simulate, CellCovers, Patterns};
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 fn bench_netlist(name: &str) -> Netlist {
@@ -168,6 +173,202 @@ fn sweep_terminates_on_false_constant_suspicions() {
     let out = sess.into_netlist();
     out.validate().expect("valid after sweep");
     assert_eq!(po_signatures(&out, &pats), before, "sweep broke function");
+}
+
+/// Asserts that the session's retained signatures equal a fresh
+/// simulation of its netlist under its pattern set on every live gate.
+fn assert_signatures_fresh(sess: &mut AnalysisSession, context: &str) {
+    let covers = CellCovers::new(sess.netlist().library());
+    let fresh = simulate(sess.netlist(), &covers, sess.patterns());
+    let (nl, values) = sess.signatures();
+    for g in nl.iter_live() {
+        assert_eq!(
+            values.get(g),
+            fresh.get(g),
+            "{context}: retained signature of {} is stale",
+            nl.gate_name(g)
+        );
+    }
+}
+
+/// Every pass, run one at a time on one session, must leave the retained
+/// simulation values equal to a fresh simulation — including the tie
+/// constants sweep, egraph and redundancy create mid-session. The
+/// pass-layer simulation filter and sweep's signature classes both read
+/// these values, so a stale word is a wrong decision.
+#[test]
+fn retained_signatures_stay_fresh_across_passes() {
+    let cfg = small_config(1);
+    let order = ["sweep", "egraph", "powder", "resize", "redundancy"];
+    for name in ["frg2", "ex4", "x3"] {
+        let mut sess =
+            AnalysisSession::new(bench_netlist(name), SessionConfig::from_optimize(&cfg));
+        // Two iterations: the `--fixpoint 2` schedule.
+        for iteration in 0..2 {
+            for pass in order {
+                let mut pipeline = build_pipeline(pass, &cfg, None).expect("valid spec");
+                pipeline.run(&mut sess);
+                assert_signatures_fresh(&mut sess, &format!("{name} {pass} #{iteration}"));
+            }
+        }
+    }
+}
+
+/// `circuit` after `sweep,egraph,powder`, the state in which the
+/// `pipeline` flow reaches its redundancy pass.
+fn session_before_redundancy(circuit: &str, cfg: &OptimizeConfig) -> AnalysisSession {
+    let mut sess = AnalysisSession::new(bench_netlist(circuit), SessionConfig::from_optimize(cfg));
+    build_pipeline("sweep,egraph,powder", cfg, None)
+        .expect("valid spec")
+        .run(&mut sess);
+    sess
+}
+
+/// The pass-layer simulation filter is sound: every constant tie it
+/// rejects is one the exact ATPG check also refuses.
+#[test]
+fn simulation_refutations_are_never_permissible() {
+    let cfg = small_config(1);
+    for circuit in ["c8", "ex4"] {
+        let mut sess = session_before_redundancy(circuit, &cfg);
+        let ties = [
+            sess.netlist_mut().add_const("tie0", false),
+            sess.netlist_mut().add_const("tie1", true),
+        ];
+        let cells: Vec<GateId> = sess
+            .netlist()
+            .iter_live()
+            .filter(|&g| matches!(sess.netlist().kind(g), GateKind::Cell(_)))
+            .collect();
+        let (mut refuted, mut kept) = (0usize, 0usize);
+        for g in cells {
+            for pin in 0..sess.netlist().fanins(g).len() as u32 {
+                for b in ties {
+                    let sub = Substitution::Is2 {
+                        sink: g,
+                        pin,
+                        b,
+                        invert: false,
+                    };
+                    if !sub.is_structurally_valid(sess.netlist()) {
+                        continue;
+                    }
+                    if !sess.refutes(&sub) {
+                        kept += 1;
+                        continue;
+                    }
+                    refuted += 1;
+                    assert_ne!(
+                        check_substitution(sess.netlist(), &sub, cfg.backtrack_limit),
+                        CheckOutcome::Permissible,
+                        "{circuit}: simulation refuted a permissible tie {sub:?}"
+                    );
+                }
+            }
+        }
+        assert!(
+            refuted > 0 && kept > 0,
+            "{circuit}: {refuted} refuted, {kept} kept"
+        );
+    }
+}
+
+/// [`RedundancyPass`]'s scan with every candidate tie sent to ATPG —
+/// no simulation filter — as the reference its decisions must match:
+/// same gate order, same refuted-pin cache, same power gate, same
+/// lazily created and finally swept tie constants.
+fn redundancy_by_atpg_only(sess: &mut AnalysisSession, backtrack_limit: usize) -> usize {
+    let mut edits = 0;
+    let mut ties: [Option<GateId>; 2] = [None, None];
+    let mut failed: HashSet<(GateId, u32, bool)> = HashSet::new();
+    loop {
+        let mut changed = false;
+        let gates: Vec<GateId> = sess
+            .netlist()
+            .iter_live()
+            .filter(|&g| matches!(sess.netlist().kind(g), GateKind::Cell(_)))
+            .collect();
+        'gates: for g in gates {
+            if !sess.netlist().is_live(g) {
+                continue;
+            }
+            for pin in 0..sess.netlist().fanins(g).len() as u32 {
+                let driver = sess.netlist().fanins(g)[pin as usize];
+                if matches!(sess.netlist().kind(driver), GateKind::Const(_)) {
+                    continue;
+                }
+                for value in [false, true] {
+                    if failed.contains(&(g, pin, value)) {
+                        continue;
+                    }
+                    let b = match ties[usize::from(value)] {
+                        Some(k) if sess.netlist().is_live(k) => k,
+                        _ => {
+                            let name = format!("tie{}", u8::from(value));
+                            let k = sess.netlist_mut().add_const(name, value);
+                            ties[usize::from(value)] = Some(k);
+                            k
+                        }
+                    };
+                    let sub = Substitution::Is2 {
+                        sink: g,
+                        pin,
+                        b,
+                        invert: false,
+                    };
+                    let (nl, est) = sess.analyses();
+                    let commit = sub.is_structurally_valid(nl)
+                        && analyze_full(nl, est, &sub).total() >= -1e-12
+                        && check_substitution(nl, &sub, backtrack_limit)
+                            == CheckOutcome::Permissible;
+                    if commit {
+                        sess.apply(&sub);
+                        edits += 1;
+                        changed = true;
+                        continue 'gates;
+                    }
+                    failed.insert((g, pin, value));
+                }
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    for k in ties.into_iter().flatten() {
+        if sess.netlist().is_live(k) && sess.netlist().fanouts(k).is_empty() {
+            sess.sweep_dangling(k);
+        }
+    }
+    edits
+}
+
+/// The filter only skips proofs that would fail: the filtered pass
+/// commits exactly the ties of the ATPG-only reference scan.
+#[test]
+fn redundancy_pass_matches_atpg_only_reference() {
+    let cfg = small_config(1);
+    for circuit in ["c8", "ex4"] {
+        let mut filtered = session_before_redundancy(circuit, &cfg);
+        let mut reference = session_before_redundancy(circuit, &cfg);
+        assert_eq!(
+            write_blif(filtered.netlist()),
+            write_blif(reference.netlist()),
+            "{circuit}: set-up is deterministic"
+        );
+        let budget = PassBudget {
+            backtrack_limit: cfg.backtrack_limit,
+            ..PassBudget::default()
+        };
+        let report = RedundancyPass.run(&mut filtered, &budget);
+        let edits = redundancy_by_atpg_only(&mut reference, cfg.backtrack_limit);
+        assert_eq!(report.edits, edits, "{circuit}: tie counts differ");
+        assert_eq!(
+            write_blif(&filtered.into_netlist()),
+            write_blif(&reference.into_netlist()),
+            "{circuit}: the filtered pass committed different ties"
+        );
+    }
 }
 
 /// An empty or unknown pass list is a configuration error.
