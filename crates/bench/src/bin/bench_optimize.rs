@@ -1,11 +1,11 @@
-//! Benchmarks the incremental analysis engine and the parallel
-//! candidate-evaluation pipeline: runs POWDER per circuit as
-//! incremental-vs-full-rebuild (`jobs = 1`) and as sequential-vs-
-//! pipelined candidate evaluation (`jobs = 1` vs `jobs = 4`), and
-//! emits a machine-readable `BENCH_optimize.json` with per-circuit
-//! wall-clock, per-phase breakdown, refresh counters, per-stage
-//! engine counters, and a whole-process `powder-obs` metric snapshot
-//! under the top-level `"metrics"` key.
+//! Benchmarks the incremental analysis engine and the speculative
+//! candidate-evaluation engine: runs POWDER per circuit at `jobs = 1`
+//! (no speculation) and `jobs = 4`, replays each committed sequence to
+//! time the incremental analysis refresh against a from-scratch
+//! rebuild, and emits a machine-readable `BENCH_optimize.json` with
+//! per-circuit wall-clock, per-phase breakdown, refresh counters,
+//! per-stage engine counters, and a whole-process `powder-obs` metric
+//! snapshot under the top-level `"metrics"` key.
 //!
 //! Usage:
 //!
@@ -111,11 +111,10 @@ fn replay_refresh(
     (best_inc, best_full)
 }
 
-fn run_mode(nl: &Netlist, incremental: bool, jobs: usize) -> Run {
+fn run_mode(nl: &Netlist, jobs: usize) -> Run {
     let mut work = nl.clone();
     // Delay-constrained mode so STA refreshes are part of the measurement.
     let cfg = OptimizeConfig {
-        incremental,
         jobs,
         ..experiment_config(Some(DelayLimit::Factor(1.0)))
     };
@@ -136,10 +135,10 @@ fn eval_seconds(run: &Run) -> f64 {
 /// deterministic function of the netlist, so repeat runs differ only
 /// in timing; the minimum strips scheduler and cache interference the
 /// same way the refresh columns do.
-fn best_eval(nl: &Netlist, incremental: bool, jobs: usize, first: &Run, reps: usize) -> f64 {
+fn best_eval(nl: &Netlist, jobs: usize, first: &Run, reps: usize) -> f64 {
     let mut best = eval_seconds(first);
     for _ in 1..reps {
-        best = best.min(eval_seconds(&run_mode(nl, incremental, jobs)));
+        best = best.min(eval_seconds(&run_mode(nl, jobs)));
     }
     best
 }
@@ -158,7 +157,7 @@ fn json_run(out: &mut String, indent: &str, run: &Run) {
          {indent}  \"rounds\": {},\n\
          {indent}  \"final_power\": {:.9},\n\
          {indent}  \"phase\": {{ \"simulation\": {:.6}, \"candidates\": {:.6}, \"gain\": {:.6}, \"timing\": {:.6}, \"atpg\": {:.6}, \"apply\": {:.6} }},\n\
-         {indent}  \"refreshes\": {{ \"sta_incremental\": {}, \"sta_full\": {}, \"sim_incremental\": {}, \"sim_full\": {}, \"power_incremental\": {}, \"power_full\": {} }},\n\
+         {indent}  \"refreshes\": {{ \"sta_incremental\": {}, \"sim_incremental\": {}, \"sim_full\": {}, \"power_incremental\": {} }},\n\
          {indent}  \"engine\": {{ \"evaluated\": {}, \"filtered\": {}, \"full_gains\": {}, \"proved\": {}, \"speculative_hits\": {}, \"invalidated\": {}, \"retried\": {}, \"filter_seconds\": {:.6}, \"gain_seconds\": {:.6}, \"proof_seconds\": {:.6}, \"arbiter_seconds\": {:.6} }}\n\
          {indent}}}",
         run.seconds,
@@ -173,11 +172,9 @@ fn json_run(out: &mut String, indent: &str, run: &Run) {
         p.atpg,
         p.apply,
         i.incremental_sta_updates,
-        i.full_sta_rebuilds,
         i.incremental_resims,
         i.full_resims,
         i.incremental_power_updates,
-        i.full_power_rescans,
         e.evaluated,
         e.filtered,
         e.full_gains,
@@ -378,8 +375,7 @@ fn main() {
 
     let lib = library();
     let mut rows = String::new();
-    let mut total_inc = 0.0f64;
-    let mut total_full = 0.0f64;
+    let mut total_jobs1 = 0.0f64;
 
     let mut total_refresh_inc = 0.0f64;
     let mut total_refresh_full = 0.0f64;
@@ -391,18 +387,17 @@ fn main() {
     let mut total_pipeline_edits = 0usize;
 
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("# bench_optimize — incremental vs full-rebuild, jobs=1 vs jobs=4 POWDER");
+    println!("# bench_optimize — POWDER at jobs=1 vs jobs=4");
     println!("# refresh columns: per-commit analysis resync replayed in isolation (best of 3)");
     println!(
         "# eval columns: candidate-evaluation phase (gain + ATPG) at jobs=1 vs jobs=4 (best of 3)"
     );
     println!("# hardware threads available: {hw} (proof-stage parallelism is bounded by this)");
     println!(
-        "{:<9} {:>6} | {:>9} {:>9} | {:>10} {:>10} {:>8} | {:>8} {:>8} {:>7} | {:>5} {:>5}",
+        "{:<9} {:>6} | {:>9} | {:>10} {:>10} {:>8} | {:>8} {:>8} {:>7} | {:>5} {:>5}",
         "circuit",
         "gates",
-        "inc(s)",
-        "full(s)",
+        "jobs1(s)",
         "refr-i(ms)",
         "refr-f(ms)",
         "speedup",
@@ -423,26 +418,19 @@ fn main() {
             }
         };
         let gates = nl.cell_count();
-        let inc = run_mode(&nl, true, 1);
-        let full = run_mode(&nl, false, 1);
-        let par = run_mode(&nl, true, 4);
-        // All modes share the decision sequence; divergence would mean the
-        // incremental state drifted or the parallel arbiter mis-replayed.
-        let seq_subs: Vec<Substitution> =
-            inc.report.applied.iter().map(|a| a.substitution).collect();
+        let seq = run_mode(&nl, 1);
+        let par = run_mode(&nl, 4);
+        // Speculation never changes a decision; divergence would mean a
+        // consumed cached result went stale.
+        let subs: Vec<Substitution> = seq.report.applied.iter().map(|a| a.substitution).collect();
         let par_subs: Vec<Substitution> =
             par.report.applied.iter().map(|a| a.substitution).collect();
-        let same = inc.report.applied.len() == full.report.applied.len()
-            && (inc.report.final_power - full.report.final_power).abs() < 1e-6
-            && seq_subs == par_subs
-            && inc.report.final_power == par.report.final_power;
-        let eval_seq = best_eval(&nl, true, 1, &inc, 3);
-        let eval_par = best_eval(&nl, true, 4, &par, 3);
+        let same = subs == par_subs && seq.report.final_power == par.report.final_power;
+        let eval_seq = best_eval(&nl, 1, &seq, 3);
+        let eval_par = best_eval(&nl, 4, &par, 3);
         total_eval_seq += eval_seq;
         total_eval_par += eval_par;
-        total_inc += inc.seconds;
-        total_full += full.seconds;
-        let subs = seq_subs;
+        total_jobs1 += seq.seconds;
         let cfg = OptimizeConfig {
             ..experiment_config(Some(DelayLimit::Factor(1.0)))
         };
@@ -457,11 +445,10 @@ fn main() {
         total_pipeline_seconds += pipe.seconds;
         total_pipeline_edits += pipe.total_edits();
         println!(
-            "{:<9} {:>6} | {:>9.3} {:>9.3} | {:>10.3} {:>10.3} {:>7.2}x | {:>8.3} {:>8.3} {:>6.2}x | {:>5} {:>5}",
+            "{:<9} {:>6} | {:>9.3} | {:>10.3} {:>10.3} {:>7.2}x | {:>8.3} {:>8.3} {:>6.2}x | {:>5} {:>5}",
             name,
             gates,
-            inc.seconds,
-            full.seconds,
+            seq.seconds,
             refresh_inc * 1e3,
             refresh_full * 1e3,
             refresh_full / refresh_inc.max(1e-12),
@@ -477,19 +464,16 @@ fn main() {
         ran += 1;
         let _ = write!(
             rows,
-            "    {{\n      \"name\": \"{name}\",\n      \"gates\": {gates},\n      \"results_match\": {same},\n      \"incremental\":\n"
+            "    {{\n      \"name\": \"{name}\",\n      \"gates\": {gates},\n      \"results_match\": {same},\n      \"jobs1\":\n"
         );
-        json_run(&mut rows, "      ", &inc);
-        rows.push_str(",\n      \"full_rebuild\":\n");
-        json_run(&mut rows, "      ", &full);
+        json_run(&mut rows, "      ", &seq);
         rows.push_str(",\n      \"jobs4\":\n");
         json_run(&mut rows, "      ", &par);
         rows.push_str(",\n      \"pipeline\":\n");
         json_pipeline(&mut rows, "      ", &pipe);
         let _ = write!(
             rows,
-            ",\n      \"end_to_end_speedup\": {:.4},\n      \"refresh\": {{ \"commits\": {}, \"incremental_seconds\": {:.6}, \"full_seconds\": {:.6}, \"speedup\": {:.4} }},\n      \"eval\": {{ \"jobs1_seconds\": {:.6}, \"jobs4_seconds\": {:.6}, \"speedup\": {:.4} }}\n    }}",
-            full.seconds / inc.seconds.max(1e-12),
+            ",\n      \"refresh\": {{ \"commits\": {}, \"incremental_seconds\": {:.6}, \"full_seconds\": {:.6}, \"speedup\": {:.4} }},\n      \"eval\": {{ \"jobs1_seconds\": {:.6}, \"jobs4_seconds\": {:.6}, \"speedup\": {:.4} }}\n    }}",
             subs.len(),
             refresh_inc,
             refresh_full,
@@ -537,16 +521,12 @@ fn main() {
     let metrics = powder_obs::snapshot().to_json();
     let metrics = metrics.trim_end();
     let json = format!(
-        "{{\n  \"experiment\": \"bench_optimize\",\n  \"delay_limit\": \"factor 1.0\",\n  \"hardware_threads\": {hw},\n  \"circuits\": [\n{rows}\n  ],\n  \"scaling\": {scaling},\n  \"totals\": {{ \"incremental_seconds\": {total_inc:.6}, \"full_rebuild_seconds\": {total_full:.6}, \"end_to_end_speedup\": {:.4}, \"refresh_incremental_seconds\": {total_refresh_inc:.6}, \"refresh_full_seconds\": {total_refresh_full:.6}, \"refresh_speedup\": {:.4}, \"eval_jobs1_seconds\": {total_eval_seq:.6}, \"eval_jobs4_seconds\": {total_eval_par:.6}, \"eval_speedup\": {:.4} }},\n  \"metrics\": {metrics}\n}}\n",
-        total_full / total_inc.max(1e-12),
+        "{{\n  \"experiment\": \"bench_optimize\",\n  \"delay_limit\": \"factor 1.0\",\n  \"hardware_threads\": {hw},\n  \"circuits\": [\n{rows}\n  ],\n  \"scaling\": {scaling},\n  \"totals\": {{ \"jobs1_seconds\": {total_jobs1:.6}, \"refresh_incremental_seconds\": {total_refresh_inc:.6}, \"refresh_full_seconds\": {total_refresh_full:.6}, \"refresh_speedup\": {:.4}, \"eval_jobs1_seconds\": {total_eval_seq:.6}, \"eval_jobs4_seconds\": {total_eval_par:.6}, \"eval_speedup\": {:.4} }},\n  \"metrics\": {metrics}\n}}\n",
         total_refresh_full / total_refresh_inc.max(1e-12),
         total_eval_seq / total_eval_par.max(1e-12),
     );
     std::fs::write(&out_path, &json).expect("write BENCH_optimize.json");
-    println!(
-        "\ntotal: end-to-end incremental {total_inc:.3}s vs full-rebuild {total_full:.3}s ({:.2}x)",
-        total_full / total_inc.max(1e-12)
-    );
+    println!("\ntotal: end-to-end jobs=1 {total_jobs1:.3}s");
     println!(
         "refresh-only: incremental {:.1}ms vs full {:.1}ms ({:.1}x)",
         total_refresh_inc * 1e3,

@@ -204,8 +204,10 @@ fn tight_deadline_job_still_terminates_with_valid_result() {
     let netlist = std::fs::read_to_string(&input).unwrap();
 
     let tight = JobSpec {
-        deadline_secs: Some(0.05),
-        // Enough requested work that the deadline actually cuts it short.
+        // One nanosecond after the job starts: the deadline has passed
+        // by the pipeline's first check at any build speed, so the run
+        // is always cut short.
+        deadline_secs: Some(1e-9),
         fixpoint: 4,
         ..spec("hurried")
     };

@@ -1,23 +1,15 @@
-//! The `power_optimize` main loop of the paper's Figure 5.
+//! Configuration and entry points of the `power_optimize` loop of the
+//! paper's Figure 5. The candidate rounds themselves run in
+//! `crate::parallel`, the one decision loop at every `jobs`.
 
-use crate::gain::{analyze_fast, analyze_full_with};
-use crate::guard::{adaptive_backtrack, deadline_exceeded, guarded_apply};
-use crate::report::{
-    AppliedSubstitution, GuardStats, IncrementalStats, OptimizeReport, PhaseTimes,
-    QuarantinedCandidate, SubClass,
-};
-use powder_atpg::{
-    generate_candidates_scoped, CandidateConfig, CandidateScope, CheckArena, CheckOutcome,
-    Substitution,
-};
-use powder_engine::EngineStats;
+use crate::report::OptimizeReport;
+use powder_atpg::{CandidateConfig, CandidateScope, Substitution};
 use powder_faults::FaultState;
-use powder_netlist::{ConeScratch, GateId, Netlist};
+use powder_netlist::Netlist;
 use powder_obs as obs;
-use powder_power::{PowerConfig, PowerEstimator, WhatIfScratch};
+use powder_power::{PowerConfig, PowerEstimator};
 use powder_sim::{simulate, CellCovers, Patterns, SimValues};
-use powder_timing::{SubstitutionTiming, TimingAnalysis, TimingConfig};
-use std::collections::BTreeSet;
+use powder_timing::{SubstitutionTiming, TimingAnalysis};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -57,19 +49,16 @@ pub struct OptimizeConfig {
     /// Candidates rejected (by delay or ATPG) per round before the round
     /// is cut short and fresh candidates are generated.
     pub max_rejections_per_round: usize,
-    /// Refresh simulation values, power totals, and timing incrementally
-    /// over the dirty region of each committed substitution. `false`
-    /// reproduces the full-rebuild baseline (results are identical up to
-    /// floating-point accumulation order); useful for benchmarking.
-    pub incremental: bool,
     /// After every committed substitution, cross-check all incremental
-    /// state against a from-scratch recomputation and panic on
+    /// state against a from-scratch recomputation, and recompute every
+    /// consumed cached gain and proof in place; panic on any
     /// divergence. Test/debug aid; expensive.
     pub cross_check: bool,
     /// Worker threads for the candidate-evaluation pipeline. `0` means
     /// auto: the `POWDER_JOBS` environment variable if set, else the
-    /// machine's available parallelism. `1` runs the sequential path;
-    /// any value yields bit-identical substitution sequences.
+    /// machine's available parallelism. Speculation depth follows
+    /// `min(jobs, hardware threads)`; `1` speculates not at all. Any
+    /// value yields bit-identical substitution sequences.
     pub jobs: usize,
     /// Candidate-generation knobs.
     pub candidates: CandidateConfig,
@@ -94,10 +83,10 @@ pub struct OptimizeConfig {
     pub stop: Option<Arc<AtomicBool>>,
     /// Observer fired after every *fully completed* candidate round, at
     /// a committed boundary (journal drained, analyses consistent). This
-    /// is the checkpoint hook: both the sequential and parallel paths
-    /// fire it at identical boundaries, so checkpoints are bit-identical
-    /// at any `jobs`. Rounds cut short by the deadline or a stop request
-    /// do not fire it. `None` (the default) observes nothing.
+    /// is the checkpoint hook: the loop fires it at the same boundaries
+    /// at any `jobs`, so checkpoints are bit-identical. Rounds cut short
+    /// by the deadline or a stop request do not fire it. `None` (the
+    /// default) observes nothing.
     pub round_hook: Option<RoundHook>,
     /// Core size (gates) for the windowed large-netlist driver. `None`
     /// (the default) selects the automatic policy of
@@ -182,7 +171,6 @@ impl Default for OptimizeConfig {
             max_rounds: 60,
             min_gain: 1e-9,
             max_rejections_per_round: 250,
-            incremental: true,
             cross_check: false,
             jobs: 0,
             candidates: CandidateConfig::default(),
@@ -266,18 +254,14 @@ pub fn optimize_with(
 ) -> OptimizeReport {
     // Window dispatch happens only at the top level: the windowed
     // driver's per-window inner runs carry a scope and fall through to
-    // the classic whole-netlist (within their scope) paths below.
+    // the candidate rounds below.
     if config.scope.is_none() {
         if let Some(wcfg) = crate::windowed::resolve_window_config(config, nl.live_gate_count()) {
             return crate::windowed::optimize_windowed(nl, config, shared, wcfg);
         }
     }
     let jobs = powder_engine::resolve_jobs(config.jobs);
-    let report = if jobs > 1 {
-        crate::parallel::optimize_parallel(nl, config, jobs, shared)
-    } else {
-        optimize_sequential(nl, config, shared)
-    };
+    let report = crate::parallel::optimize_rounds(nl, config, jobs, shared);
     record_arena_gauges(nl);
     report
 }
@@ -295,413 +279,6 @@ pub(crate) fn record_arena_gauges(nl: &Netlist) {
     obs::gauge!(obs::names::ARENA_COLUMN_BYTES).set(s.column_bytes as f64);
 }
 
-/// The sequential reference path (`jobs = 1`): the parallel engine's
-/// commit arbiter replays exactly these decisions, so every behavioural
-/// change here must be mirrored in `crate::parallel`.
-pub(crate) fn optimize_sequential(
-    nl: &mut Netlist,
-    config: &OptimizeConfig,
-    shared: &mut SharedAnalyses,
-) -> OptimizeReport {
-    let t0 = Instant::now();
-    let SharedAnalyses {
-        covers,
-        est,
-        patterns,
-        values,
-    } = shared;
-    let initial_power = est.circuit_power(nl);
-    let initial_area = nl.area();
-    let output_load = config.power.output_load;
-
-    let probe_cfg = TimingConfig {
-        output_load,
-        required_time: None,
-    };
-    let initial_delay = TimingAnalysis::new(nl, &probe_cfg).circuit_delay();
-    let required_time = config.delay_limit.map(|dl| match dl {
-        DelayLimit::Absolute(t) => t,
-        DelayLimit::Factor(f) => f * initial_delay,
-    });
-    let sta_cfg = TimingConfig {
-        output_load,
-        required_time,
-    };
-    let mut sta = required_time.map(|_| TimingAnalysis::new(nl, &sta_cfg));
-
-    // The journal may hold records from netlist construction or earlier
-    // caller edits; the shared analyses reflect the current state (fresh
-    // from `SharedAnalyses::new` or refreshed by the owning session), so
-    // incremental tracking starts from a clean slate.
-    nl.drain_dirty();
-
-    let mut applied: Vec<AppliedSubstitution> = Vec::new();
-    let mut rounds = 0usize;
-    let mut atpg_checks = 0usize;
-    let mut atpg_rejections = 0usize;
-    let mut delay_rejections = 0usize;
-    let mut phase = PhaseTimes::default();
-    let mut inc = IncrementalStats::default();
-    let mut engine = EngineStats {
-        jobs: 1,
-        ..EngineStats::default()
-    };
-    let mut whatif_scratch = WhatIfScratch::default();
-
-    // Retained values (possibly carried in from an earlier pass) are
-    // refreshed over dirty cones after commits and fully regenerated
-    // only when the pattern set itself changes (a learned ATPG
-    // counterexample).
-    let mut patterns_stale = false;
-    let mut cone_scratch = ConeScratch::new();
-    // Proof arena reused across candidates and rounds: the base circuit
-    // is rebuilt only when the netlist (or the window scope) changes.
-    // Outcomes are bit-identical to one-shot `check_substitution` calls.
-    let mut check_arena = CheckArena::new();
-    let mut cone: Vec<GateId> = Vec::new();
-
-    let mut guard_stats = GuardStats::default();
-    let mut quarantined_list: Vec<QuarantinedCandidate> = Vec::new();
-    let mut quarantine: BTreeSet<Substitution> = BTreeSet::new();
-    let mut deadline_hit = false;
-    let mut interrupted = false;
-
-    for _round in 0..config.max_rounds.saturating_sub(config.rounds_offset) {
-        if deadline_exceeded(config.deadline) {
-            deadline_hit = true;
-            obs::counter!(obs::names::OPTIMIZER_DEADLINE_HITS).inc();
-            break;
-        }
-        if stop_requested(config.stop.as_ref()) {
-            interrupted = true;
-            break;
-        }
-        rounds += 1;
-        let _round_span = obs::span!(obs::names::span::ROUND);
-        obs::counter!(obs::names::OPTIMIZER_ROUNDS).inc();
-        let t = Instant::now();
-        if !config.incremental || patterns_stale || values.is_none() {
-            let _span = obs::span!(obs::names::span::PHASE_SIMULATION);
-            *values = Some(simulate(nl, covers, patterns));
-            patterns_stale = false;
-            inc.full_resims += 1;
-            obs::counter!(obs::names::ANALYSIS_SIM_FULL).inc();
-        }
-        phase.simulation += t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let cands = {
-            let _span = obs::span!(obs::names::span::PHASE_CANDIDATES);
-            let values = values.as_ref().expect("simulated above");
-            generate_candidates_scoped(
-                nl,
-                covers,
-                values,
-                &config.candidates,
-                config.scope.as_deref(),
-            )
-        };
-        phase.candidates += t.elapsed().as_secs_f64();
-        if cands.is_empty() {
-            break;
-        }
-        // Score once per round by the re-estimation-free PG_A + PG_B.
-        let t = Instant::now();
-        let fast_span = obs::span!(obs::names::span::PHASE_GAIN);
-        let mut scored: Vec<(Substitution, f64)> = cands
-            .into_iter()
-            .map(|s| {
-                let fast = analyze_fast(nl, est, &s).fast();
-                (s, fast)
-            })
-            .collect();
-        scored.sort_by(|x, y| y.1.total_cmp(&x.1));
-        drop(fast_span);
-        phase.gain += t.elapsed().as_secs_f64();
-        engine.evaluated += scored.len();
-        obs::counter!(obs::names::ENGINE_EVALUATED).add(scored.len() as u64);
-        let mut consumed = vec![false; scored.len()];
-
-        let mut progress = false;
-        let mut learned = false;
-        let mut repeat_left = config.repeat;
-        let mut rejections_this_round = 0usize;
-        // Scan cursor: everything before it is consumed, so each inner
-        // iteration resumes where the ranking left off instead of
-        // rescanning the whole candidate list.
-        let mut cursor = 0usize;
-        'inner: while repeat_left > 0 && rejections_this_round < config.max_rejections_per_round {
-            if deadline_exceeded(config.deadline) {
-                deadline_hit = true;
-                obs::counter!(obs::names::OPTIMIZER_DEADLINE_HITS).inc();
-                break 'inner;
-            }
-            if stop_requested(config.stop.as_ref()) {
-                interrupted = true;
-                break 'inner;
-            }
-            while cursor < scored.len() && consumed[cursor] {
-                cursor += 1;
-            }
-            // Pre-select the next `preselect` live candidates.
-            let mut pre: Vec<usize> = Vec::with_capacity(config.preselect);
-            let mut i = cursor;
-            while i < scored.len() && pre.len() < config.preselect {
-                if !consumed[i] {
-                    let s = &scored[i].0;
-                    if quarantine.contains(s) {
-                        consumed[i] = true;
-                    } else if !candidate_alive(nl, s) || !s.is_structurally_valid(nl) {
-                        consumed[i] = true;
-                        engine.filtered += 1;
-                        obs::counter!(obs::names::ENGINE_FILTERED).inc();
-                    } else {
-                        pre.push(i);
-                    }
-                }
-                i += 1;
-            }
-            if pre.is_empty() {
-                break 'inner;
-            }
-            // Full PG analysis on the pre-selected set.
-            let t = Instant::now();
-            let gain_span = obs::span!(obs::names::span::PHASE_GAIN);
-            let best = pre
-                .iter()
-                .map(|&i| {
-                    let g = analyze_full_with(nl, est, &scored[i].0, &mut whatif_scratch);
-                    (i, g.total())
-                })
-                .max_by(|x, y| x.1.total_cmp(&y.1))
-                .expect("pre-selection is non-empty");
-            engine.full_gains += pre.len();
-            obs::counter!(obs::names::ENGINE_FULL_GAINS).add(pre.len() as u64);
-            drop(gain_span);
-            phase.gain += t.elapsed().as_secs_f64();
-            let (idx, gain) = best;
-            if gain <= config.min_gain {
-                // The most promising candidates no longer reduce power;
-                // end this round (fresh candidates may still exist).
-                break 'inner;
-            }
-            let sub = scored[idx].0;
-            consumed[idx] = true;
-
-            // check_delay (Section 3.4).
-            if let Some(sta_ref) = &sta {
-                let t = Instant::now();
-                let ok = {
-                    let _span = obs::span!(obs::names::span::PHASE_TIMING);
-                    let timing = substitution_timing(nl, sta_ref, &sub, output_load);
-                    sta_ref.check_substitution(&timing)
-                };
-                phase.timing += t.elapsed().as_secs_f64();
-                if !ok {
-                    delay_rejections += 1;
-                    rejections_this_round += 1;
-                    obs::counter!(obs::names::OPTIMIZER_DELAY_REJECTIONS).inc();
-                    continue 'inner;
-                }
-            }
-
-            // check_candidate (exact ATPG).
-            atpg_checks += 1;
-            engine.proved += 1;
-            obs::counter!(obs::names::OPTIMIZER_ATPG_CHECKS).inc();
-            obs::counter!(obs::names::ENGINE_PROVED).inc();
-            let t = Instant::now();
-            let outcome = {
-                let _span = obs::span!(obs::names::span::PHASE_ATPG);
-                if powder_faults::fires(config.faults.as_ref(), powder_faults::SITE_ATPG_ABORT) {
-                    CheckOutcome::Aborted
-                } else {
-                    let budget = adaptive_backtrack(config.backtrack_limit, t0, config.deadline);
-                    match config.scope.as_deref() {
-                        // Windowed runs prove on window-local cones: the
-                        // miter is cut at the scope boundary, so solver
-                        // work is bounded by the window.
-                        Some(scope) => check_arena.check_scoped(nl, &sub, budget, &scope.sources),
-                        None => check_arena.check(nl, &sub, budget),
-                    }
-                }
-            };
-            phase.atpg += t.elapsed().as_secs_f64();
-            match outcome {
-                CheckOutcome::Permissible => {
-                    let t_apply = Instant::now();
-                    let apply_span = obs::span!(obs::names::span::PHASE_APPLY);
-                    let power_before = if config.incremental {
-                        est.total_power()
-                    } else {
-                        inc.full_power_rescans += 1;
-                        obs::counter!(obs::names::ANALYSIS_POWER_FULL).inc();
-                        est.circuit_power(nl)
-                    };
-                    let area_before = nl.area();
-                    // Transactional apply: checkpoint, edit, verify the
-                    // dirty cone's primary outputs, roll back and
-                    // quarantine on mismatch. One shared dirty region
-                    // drives every analysis refresh below.
-                    let guard_values = if config.incremental {
-                        values.as_mut()
-                    } else {
-                        None
-                    };
-                    let region = match guarded_apply(
-                        nl,
-                        &sub,
-                        covers,
-                        guard_values,
-                        config.backtrack_limit,
-                        config.faults.as_ref(),
-                        &mut cone_scratch,
-                        &mut cone,
-                        &mut guard_stats,
-                    ) {
-                        Ok(region) => region,
-                        Err(q) => {
-                            drop(apply_span);
-                            phase.apply += t_apply.elapsed().as_secs_f64();
-                            quarantine.insert(q.substitution);
-                            quarantined_list.push(q);
-                            rejections_this_round += 1;
-                            continue 'inner;
-                        }
-                    };
-                    obs::counter!(obs::names::OPTIMIZER_COMMITS).inc();
-                    obs::counter!(obs::names::ANALYSIS_REFRESHES).inc();
-                    obs::histogram!(
-                        obs::names::ANALYSIS_CONE_GATES,
-                        obs::names::CONE_GATES_BOUNDS
-                    )
-                    .observe(cone.len() as u64);
-                    est.retire_gates(region.removed());
-                    est.update_cone(nl, &cone);
-                    let power_after = if config.incremental {
-                        inc.incremental_power_updates += 1;
-                        obs::counter!(obs::names::ANALYSIS_POWER_INCREMENTAL).inc();
-                        est.total_power()
-                    } else {
-                        inc.full_power_rescans += 1;
-                        obs::counter!(obs::names::ANALYSIS_POWER_FULL).inc();
-                        est.circuit_power(nl)
-                    };
-                    drop(apply_span);
-                    phase.apply += t_apply.elapsed().as_secs_f64();
-                    applied.push(AppliedSubstitution {
-                        substitution: sub,
-                        class: SubClass::of(&sub),
-                        power_saved: power_before - power_after,
-                        area_delta: nl.area() - area_before,
-                    });
-                    if config.incremental && values.is_some() {
-                        // The guard already resimulated the cone as part
-                        // of its verification.
-                        inc.incremental_resims += 1;
-                        obs::counter!(obs::names::ANALYSIS_SIM_INCREMENTAL).inc();
-                    }
-                    if let Some(sta_ref) = sta.as_mut() {
-                        let t = Instant::now();
-                        let _span = obs::span!(obs::names::span::PHASE_TIMING);
-                        if config.incremental {
-                            sta_ref.update(nl, &region);
-                            inc.incremental_sta_updates += 1;
-                            obs::counter!(obs::names::ANALYSIS_STA_INCREMENTAL).inc();
-                        } else {
-                            *sta_ref = TimingAnalysis::new(nl, &sta_cfg);
-                            inc.full_sta_rebuilds += 1;
-                            obs::counter!(obs::names::ANALYSIS_STA_FULL).inc();
-                        }
-                        phase.timing += t.elapsed().as_secs_f64();
-                    }
-                    if config.cross_check {
-                        inc.cross_checks += 1;
-                        cross_check_state(
-                            nl,
-                            covers,
-                            patterns,
-                            est,
-                            config.incremental.then_some(values.as_ref()).flatten(),
-                            sta.as_ref(),
-                        );
-                    }
-                    repeat_left -= 1;
-                    progress = true;
-                }
-                CheckOutcome::NotPermissible(witness) => {
-                    atpg_rejections += 1;
-                    rejections_this_round += 1;
-                    obs::counter!(obs::names::OPTIMIZER_ATPG_REJECTIONS).inc();
-                    // Teach the filter: the witness distinguishes circuits,
-                    // so adding it to the pattern set kills this candidate
-                    // class in future rounds.
-                    patterns.push_pattern(&witness);
-                    patterns_stale = true;
-                    learned = true;
-                }
-                CheckOutcome::Aborted => {
-                    atpg_rejections += 1;
-                    rejections_this_round += 1;
-                    obs::counter!(obs::names::OPTIMIZER_ATPG_REJECTIONS).inc();
-                }
-            }
-        }
-        if deadline_hit || interrupted {
-            break;
-        }
-        // The round completed at a committed boundary: let the observer
-        // (the checkpoint sink) see the state.
-        if let Some(hook) = &config.round_hook {
-            hook.call(RoundSnapshot {
-                rounds_done: rounds,
-                nl,
-                patterns,
-                commits: applied.len(),
-                required_time,
-            });
-        }
-        // A round that only *learned* counterexamples still sharpened the
-        // filter; re-generate candidates against the enlarged pattern set
-        // before giving up.
-        if !progress && !learned {
-            break;
-        }
-    }
-
-    // Uphold the shared-analyses contract: retained values must match
-    // the pattern set exactly. Learned counterexamples grew `patterns`
-    // past the buffer, and the full-rebuild baseline deliberately leaves
-    // the buffer stale between rounds.
-    if patterns_stale || !config.incremental {
-        *values = None;
-    }
-
-    let final_delay = TimingAnalysis::new(nl, &probe_cfg).circuit_delay();
-    OptimizeReport {
-        initial_power,
-        final_power: est.circuit_power(nl),
-        initial_area,
-        final_area: nl.area(),
-        initial_delay,
-        final_delay,
-        applied,
-        rounds,
-        atpg_checks,
-        atpg_rejections,
-        delay_rejections,
-        cpu_seconds: t0.elapsed().as_secs_f64(),
-        phase,
-        incremental: inc,
-        jobs: 1,
-        engine,
-        guard: guard_stats,
-        quarantined: quarantined_list,
-        windows: Vec::new(),
-        deadline_hit,
-        interrupted,
-    }
-}
-
 /// All gates referenced by a candidate are still live.
 pub(crate) fn candidate_alive(nl: &Netlist, sub: &Substitution) -> bool {
     let (b, c) = sub.sources();
@@ -717,9 +294,9 @@ pub(crate) fn candidate_alive(nl: &Netlist, sub: &Substitution) -> bool {
 }
 
 /// Compares every piece of incrementally maintained state against a
-/// from-scratch recomputation, panicking on divergence. `values` is only
-/// supplied in incremental mode — the baseline deliberately leaves the
-/// retained buffer stale between rounds.
+/// from-scratch recomputation, panicking on divergence. `values` is
+/// `None` when the retained buffer does not cover the current pattern
+/// set.
 pub(crate) fn cross_check_state(
     nl: &Netlist,
     covers: &CellCovers,
@@ -845,9 +422,10 @@ pub(crate) fn substitution_timing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powder_atpg::check_substitution;
+    use powder_atpg::{check_substitution, CheckOutcome};
     use powder_library::lib2;
     use powder_sim::{simulate as sim, Patterns as Pats};
+    use powder_timing::TimingConfig;
     use std::sync::Arc;
 
     /// Output signatures under exhaustive patterns, for equivalence checks.
@@ -989,34 +567,8 @@ mod tests {
         assert!(report.final_power < report.initial_power, "{report}");
     }
 
-    /// Incremental and full-rebuild modes share all decision code, so they
-    /// must commit the same substitutions and land on the same power.
-    #[test]
-    fn incremental_mode_matches_full_rebuild_baseline() {
-        let mut nl_inc = redundant_circuit();
-        let mut nl_full = redundant_circuit();
-        let cfg_inc = OptimizeConfig {
-            delay_limit: Some(DelayLimit::Factor(1.5)),
-            ..OptimizeConfig::default()
-        };
-        let cfg_full = OptimizeConfig {
-            incremental: false,
-            ..cfg_inc.clone()
-        };
-        let r_inc = optimize(&mut nl_inc, &cfg_inc);
-        let r_full = optimize(&mut nl_full, &cfg_full);
-        assert_eq!(r_inc.applied.len(), r_full.applied.len());
-        assert!(
-            (r_inc.final_power - r_full.final_power).abs() < 1e-9,
-            "modes diverged: {} vs {}",
-            r_inc.final_power,
-            r_full.final_power
-        );
-        assert!((r_inc.final_area - r_full.final_area).abs() < 1e-9);
-    }
-
-    /// ISSUE acceptance: in steady state no full STA rebuild and no O(n)
-    /// power rescan happens after a committed substitution.
+    /// Every committed substitution refreshes timing, power and the
+    /// retained simulation values over its dirty cone.
     #[test]
     fn steady_state_commits_use_only_incremental_refreshes() {
         let mut nl = redundant_circuit();
@@ -1029,17 +581,36 @@ mod tests {
             !report.applied.is_empty(),
             "test needs at least one commit to be meaningful"
         );
-        assert_eq!(report.incremental.full_sta_rebuilds, 0, "{report}");
-        assert_eq!(report.incremental.full_power_rescans, 0, "{report}");
         assert!(report.incremental.incremental_sta_updates > 0);
         assert!(report.incremental.incremental_power_updates > 0);
         assert!(report.incremental.incremental_resims > 0);
     }
 
     /// With cross-checking on, every commit verifies the incremental state
-    /// against from-scratch recomputation (and panics on divergence).
+    /// against from-scratch recomputation, and every consumed cached
+    /// gain and proof against an in-place recomputation (panicking on
+    /// divergence), with speculation off (jobs 1) and on (jobs 4).
     #[test]
     fn cross_check_mode_passes_on_examples() {
+        let lib = Arc::new(lib2());
+        for name in ["rd84", "bw"] {
+            for jobs in [1, 4] {
+                let mut nl = powder_benchmarks::build(name, lib.clone()).expect("builds");
+                let cfg = OptimizeConfig {
+                    cross_check: true,
+                    jobs,
+                    ..OptimizeConfig::default()
+                };
+                let report = optimize(&mut nl, &cfg);
+                nl.validate().unwrap();
+                assert!(!report.applied.is_empty(), "{name} jobs {jobs}: {report}");
+                assert_eq!(report.incremental.cross_checks, report.applied.len());
+                assert!(
+                    report.incremental.cross_checked_values >= report.atpg_checks,
+                    "{name} jobs {jobs}: every consumed proof is re-proved"
+                );
+            }
+        }
         let mut nl = redundant_circuit();
         let cfg = OptimizeConfig {
             cross_check: true,

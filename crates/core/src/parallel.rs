@@ -1,44 +1,52 @@
-//! The parallel candidate-evaluation pipeline (`jobs > 1`).
+//! The POWDER decision loop (the paper's Fig. 5) and its speculative
+//! candidate-evaluation engine. This is the only implementation of a
+//! candidate round; every `jobs` value runs it.
 //!
 //! POWDER's inner loop spends almost all of its time on three pure
 //! functions of the current netlist: fast `PG_A + PG_B` scoring, full
 //! `PG_C` what-if analysis, and ATPG permissibility proofs. This module
 //! runs those on a work-stealing [`WorkerPool`] against an immutable
-//! netlist snapshot while a sequential *commit arbiter* replays exactly
-//! the decision sequence of [`crate::optimizer::optimize_sequential`]:
+//! netlist snapshot while a sequential *arbiter* makes every decision:
 //!
-//! 1. **Filter** — every surviving candidate is fast-scored in
-//!    parallel, sharded into per-stem batches, then stable-sorted by
-//!    score (the candidate's position in this ordering is its stable
-//!    id for the round).
+//! 1. **Filter** — every surviving candidate is fast-scored, sharded
+//!    into per-stem batches, then stable-sorted by score (the
+//!    candidate's position in this ordering is its stable id for the
+//!    round).
 //! 2. **Gain** — full what-if gains for the arbiter's pre-selection
-//!    window plus a speculative lookahead are computed in parallel;
-//!    each result is stored in a [`SpecCache`] together with the
-//!    [`Footprint`] of gates the computation read.
+//!    window, plus a speculative lookahead behind it, are computed on
+//!    the pool; each result is stored in a [`SpecCache`] together with
+//!    the [`Footprint`] of gates the computation read.
 //! 3. **Proof** — when the arbiter needs an ATPG verdict it predicts
 //!    the candidates that will reach ATPG next (assuming rejections,
-//!    the common case) and proves the whole batch in parallel on
-//!    per-worker [`CheckArena`]s.
-//! 4. **Arbitration** — the arbiter consumes cached results in the
-//!    sequential decision order: same pre-selection scan, same
-//!    last-max tie-break, same `min_gain` cut-off, same live delay
-//!    checks. Because every cached value is a pure function of the
-//!    netlist and bit-identical to what the sequential path would
-//!    compute in place, any `jobs` value commits the same
-//!    substitutions in the same order.
+//!    the common case) and proves the whole batch on per-worker
+//!    [`CheckArena`]s.
+//! 4. **Arbitration** — the arbiter consumes cached results in
+//!    decision order: pre-selection scan, last-max tie-break,
+//!    `min_gain` cut-off, live delay checks, guarded commit. Every
+//!    cached value is a pure function of the netlist and bit-identical
+//!    to an in-place recomputation, so speculation never changes a
+//!    decision: any `jobs` value commits the same substitutions in the
+//!    same order.
+//!
+//! Speculation depth follows `w = min(jobs, hardware threads)`: extra
+//! in-flight work only pays for itself on idle cores. At `w = 1` there
+//! is no lookahead and the proof batch is one, so the loop evaluates
+//! exactly the window it scans — inline on a one-worker pool, with no
+//! thread spawned.
 //!
 //! After each commit the edit journal's dirty region is widened to
 //! [`DirtyBits`] and cached entries whose footprints intersect it are
-//! dropped; disjoint speculative work survives the commit and is
-//! consumed later without recomputation. Gains are invalidated by the
-//! full write set (touched ∪ removed ∪ refreshed cone — probabilities
-//! shift all the way downstream), proofs by the structural subset
-//! (touched ∪ removed) only. Results additionally persist in
-//! cross-round memo tables keyed by [`Substitution`], so a candidate
-//! regenerated in a later round reuses its verdict as long as its
-//! footprint stayed clean. Speculation depth tracks the hardware
-//! threads actually available, not the requested worker count — extra
-//! in-flight proofs only pay for themselves on idle cores.
+//! dropped; disjoint work survives the commit and is consumed later
+//! without recomputation. Gains are invalidated by the full write set
+//! (touched ∪ removed ∪ refreshed cone — probabilities shift all the
+//! way downstream), proofs by the structural subset (touched ∪ removed)
+//! only. Results additionally persist in cross-round memo tables keyed
+//! by [`Substitution`], so a candidate regenerated in a later round
+//! reuses its verdict as long as its footprint stayed clean.
+//!
+//! With [`OptimizeConfig::cross_check`] set, every consumed cached gain
+//! and proof is recomputed in place and must match bit for bit — the
+//! oracle for the claim above.
 
 use crate::gain::{analyze_fast, analyze_full_with};
 use crate::guard::{adaptive_backtrack, deadline_exceeded, guarded_apply};
@@ -104,6 +112,9 @@ fn plan_proof_batch(
     max_batch: usize,
 ) -> Vec<usize> {
     let mut plan = vec![first];
+    if max_batch <= 1 {
+        return plan;
+    }
     let mut pred_consumed = consumed.to_vec();
     let mut pred_cursor = cursor;
     let mut pred_rej = rejections + 1;
@@ -166,10 +177,42 @@ fn plan_proof_batch(
     plan
 }
 
-/// Runs POWDER with the speculative work-stealing pipeline. Decision
-/// sequence and all committed substitutions are bit-identical to
-/// [`crate::optimizer::optimize_sequential`].
-pub(crate) fn optimize_parallel(
+/// The `cross_check` oracle for a consumed cached gain: recomputes it
+/// in place on fresh scratch and panics unless it is bit-identical.
+fn cross_check_gain(nl: &Netlist, est: &PowerEstimator, sub: &Substitution, cached: f64) {
+    let fresh = analyze_full_with(nl, est, sub, &mut WhatIfScratch::default()).total();
+    assert_eq!(
+        fresh.to_bits(),
+        cached.to_bits(),
+        "cached gain of {sub:?} is stale: {cached} vs fresh {fresh}"
+    );
+}
+
+/// The `cross_check` oracle for a consumed cached proof: re-proves the
+/// candidate on a fresh arena with the run's budget and panics unless
+/// the outcome (witness included) is identical.
+fn cross_check_proof(
+    nl: &Netlist,
+    sub: &Substitution,
+    config: &OptimizeConfig,
+    cached: &CheckOutcome,
+) {
+    let mut arena = CheckArena::new();
+    let bl = config.backtrack_limit;
+    let fresh = match config.scope.as_deref() {
+        Some(sc) => arena.check_scoped(nl, sub, bl, &sc.sources),
+        None => arena.check(nl, sub, bl),
+    };
+    assert_eq!(
+        &fresh, cached,
+        "cached proof of {sub:?} is stale: {cached:?} vs fresh {fresh:?}"
+    );
+}
+
+/// Runs POWDER's candidate rounds on `nl` (the whole netlist, or the
+/// window `config.scope` names) with `jobs` pool workers. Decisions and
+/// committed substitutions are bit-identical at every `jobs`.
+pub(crate) fn optimize_rounds(
     nl: &mut Netlist,
     config: &OptimizeConfig,
     jobs: usize,
@@ -190,13 +233,17 @@ pub(crate) fn optimize_parallel(
     // speculation is free only while it fills otherwise-idle cores, so
     // an oversubscribed pool speculates as if it had `hardware`
     // workers instead of queueing proofs a commit then invalidates.
+    // One usable worker speculates not at all.
     let spec_workers = jobs.min(powder_engine::hardware_threads());
-    let proof_batch = if spec_workers > 1 {
-        (2 * spec_workers).max(4)
+    let (proof_batch, lookahead) = if spec_workers > 1 {
+        let batch = (2 * spec_workers).max(4);
+        (batch, config.preselect + batch + jobs)
     } else {
-        1
+        (1, 0)
     };
-    let lookahead = config.preselect + proof_batch + jobs;
+    // Cached proofs depend on the ATPG budget, which a fault plan or a
+    // deadline moves, so the oracle runs only on undisturbed runs.
+    let verify_cached = config.cross_check && config.faults.is_none() && config.deadline.is_none();
 
     let initial_power = est.circuit_power(nl);
     let initial_area = nl.area();
@@ -217,6 +264,10 @@ pub(crate) fn optimize_parallel(
     };
     let mut sta = required_time.map(|_| TimingAnalysis::new(nl, &sta_cfg));
 
+    // The journal may hold records from netlist construction or earlier
+    // caller edits; the shared analyses reflect the current state (fresh
+    // from `SharedAnalyses::new` or refreshed by the owning session), so
+    // incremental tracking starts from a clean slate.
     nl.drain_dirty();
 
     let mut applied: Vec<AppliedSubstitution> = Vec::new();
@@ -269,7 +320,7 @@ pub(crate) fn optimize_parallel(
         let _round_span = obs::span!(obs::names::span::ROUND);
         obs::counter!(obs::names::OPTIMIZER_ROUNDS).inc();
         let t = Instant::now();
-        if !config.incremental || patterns_stale || values.is_none() {
+        if patterns_stale || values.is_none() {
             let _span = obs::span!(obs::names::span::PHASE_SIMULATION);
             *values = Some(simulate(nl, covers, patterns));
             patterns_stale = false;
@@ -370,8 +421,7 @@ pub(crate) fn optimize_parallel(
             while cursor < n && consumed[cursor] {
                 cursor += 1;
             }
-            // Pre-select the next `preselect` live candidates — the
-            // same scan, in the same order, as the sequential path.
+            // Pre-select the next `preselect` live candidates.
             let mut pre: Vec<usize> = Vec::with_capacity(config.preselect);
             let mut i = cursor;
             while i < n && pre.len() < config.preselect {
@@ -476,6 +526,13 @@ pub(crate) fn optimize_parallel(
                 }
                 continue 'inner;
             }
+            if verify_cached {
+                for &id in &pre {
+                    let cached = *gains.get(id).expect("checked just above");
+                    cross_check_gain(nl, est, &scored[id].0, cached);
+                    inc.cross_checked_values += 1;
+                }
+            }
             let best = pre
                 .iter()
                 .map(|&id| (id, *gains.get(id).expect("checked just above")))
@@ -554,7 +611,9 @@ pub(crate) fn optimize_parallel(
                             } else {
                                 match scope.as_deref() {
                                     // Windowed runs prove on window-local
-                                    // cones, as in the sequential path.
+                                    // cones: the miter is cut at the
+                                    // scope boundary, so solver work is
+                                    // bounded by the window.
                                     Some(sc) => arena.check_scoped(nl_snap, s, bl, &sc.sources),
                                     None => arena.check(nl_snap, s, bl),
                                 }
@@ -590,36 +649,29 @@ pub(crate) fn optimize_parallel(
             // A proof lost to a quarantined worker batch counts as an
             // abort: conservative rejection, never permission.
             let outcome = proofs.take(idx).unwrap_or(CheckOutcome::Aborted);
+            if verify_cached {
+                cross_check_proof(nl, &sub, config, &outcome);
+                inc.cross_checked_values += 1;
+            }
 
             match outcome {
                 CheckOutcome::Permissible => {
                     let t_apply = Instant::now();
                     let apply_span = obs::span!(obs::names::span::PHASE_APPLY);
-                    let power_before = if config.incremental {
-                        est.total_power()
-                    } else {
-                        inc.full_power_rescans += 1;
-                        obs::counter!(obs::names::ANALYSIS_POWER_FULL).inc();
-                        est.circuit_power(nl)
-                    };
+                    let power_before = est.total_power();
                     let area_before = nl.area();
-                    // Transactional apply — same guard as the
-                    // sequential path: checkpoint, edit, verify the
+                    // Transactional apply: checkpoint, edit, verify the
                     // cone's primary outputs, roll back and quarantine
-                    // on mismatch. On the Err path the netlist (journal
-                    // generation included) is bit-identical to before
-                    // the apply, so no cached result needs
-                    // invalidating.
-                    let guard_values = if config.incremental {
-                        values.as_mut()
-                    } else {
-                        None
-                    };
+                    // on mismatch. One shared dirty region drives every
+                    // analysis refresh below. On the Err path the
+                    // netlist (journal generation included) is
+                    // bit-identical to before the apply, so no cached
+                    // result needs invalidating.
                     let region = match guarded_apply(
                         nl,
                         &sub,
                         covers,
-                        guard_values,
+                        values.as_mut(),
                         config.backtrack_limit,
                         config.faults.as_ref(),
                         &mut cone_scratch,
@@ -645,15 +697,9 @@ pub(crate) fn optimize_parallel(
                     .observe(cone.len() as u64);
                     est.retire_gates(region.removed());
                     est.update_cone(nl, &cone);
-                    let power_after = if config.incremental {
-                        inc.incremental_power_updates += 1;
-                        obs::counter!(obs::names::ANALYSIS_POWER_INCREMENTAL).inc();
-                        est.total_power()
-                    } else {
-                        inc.full_power_rescans += 1;
-                        obs::counter!(obs::names::ANALYSIS_POWER_FULL).inc();
-                        est.circuit_power(nl)
-                    };
+                    inc.incremental_power_updates += 1;
+                    obs::counter!(obs::names::ANALYSIS_POWER_INCREMENTAL).inc();
+                    let power_after = est.total_power();
                     drop(apply_span);
                     phase.apply += t_apply.elapsed().as_secs_f64();
                     applied.push(AppliedSubstitution {
@@ -662,7 +708,7 @@ pub(crate) fn optimize_parallel(
                         power_saved: power_before - power_after,
                         area_delta: nl.area() - area_before,
                     });
-                    if config.incremental && values.is_some() {
+                    if values.is_some() {
                         // The guard already resimulated the cone as
                         // part of its verification.
                         inc.incremental_resims += 1;
@@ -671,25 +717,22 @@ pub(crate) fn optimize_parallel(
                     if let Some(sta_ref) = sta.as_mut() {
                         let t = Instant::now();
                         let _span = obs::span!(obs::names::span::PHASE_TIMING);
-                        if config.incremental {
-                            sta_ref.update(nl, &region);
-                            inc.incremental_sta_updates += 1;
-                            obs::counter!(obs::names::ANALYSIS_STA_INCREMENTAL).inc();
-                        } else {
-                            *sta_ref = TimingAnalysis::new(nl, &sta_cfg);
-                            inc.full_sta_rebuilds += 1;
-                            obs::counter!(obs::names::ANALYSIS_STA_FULL).inc();
-                        }
+                        sta_ref.update(nl, &region);
+                        inc.incremental_sta_updates += 1;
+                        obs::counter!(obs::names::ANALYSIS_STA_INCREMENTAL).inc();
                         phase.timing += t.elapsed().as_secs_f64();
                     }
                     if config.cross_check {
                         inc.cross_checks += 1;
+                        // A counterexample learned earlier this round
+                        // grew `patterns` past the retained buffer,
+                        // which is resimulated only next round.
                         cross_check_state(
                             nl,
                             covers,
                             patterns,
                             est,
-                            config.incremental.then_some(values.as_ref()).flatten(),
+                            values.as_ref().filter(|_| !patterns_stale),
                             sta.as_ref(),
                         );
                     }
@@ -751,8 +794,9 @@ pub(crate) fn optimize_parallel(
         if deadline_hit || interrupted {
             break;
         }
-        // Same committed boundary as the sequential path: checkpoints
-        // taken here are bit-identical at any `jobs`.
+        // The round completed at a committed boundary: let the observer
+        // (the checkpoint sink) see the state. Checkpoints taken here
+        // are bit-identical at any `jobs`.
         if let Some(hook) = &config.round_hook {
             hook.call(RoundSnapshot {
                 rounds_done: rounds,
@@ -762,14 +806,18 @@ pub(crate) fn optimize_parallel(
                 required_time,
             });
         }
+        // A round that only *learned* counterexamples still sharpened the
+        // filter; re-generate candidates against the enlarged pattern set
+        // before giving up.
         if !progress && !learned {
             break;
         }
     }
 
-    // Same contract as the sequential path: retained values either
-    // match the pattern set exactly or are dropped.
-    if patterns_stale || !config.incremental {
+    // Uphold the shared-analyses contract: retained values must match
+    // the pattern set exactly, and learned counterexamples grew
+    // `patterns` past the buffer.
+    if patterns_stale {
         *values = None;
     }
 
@@ -829,10 +877,11 @@ mod tests {
         nl
     }
 
-    /// The pipeline commits the exact substitution sequence of the
-    /// sequential path and lands on the same power, area, and delay.
+    /// Speculation off (jobs 1) and on (jobs 4) commit the exact same
+    /// substitution sequence and land on the same power, area, and
+    /// delay.
     #[test]
-    fn parallel_run_is_bit_identical_to_sequential() {
+    fn jobs1_and_jobs4_runs_are_bit_identical() {
         for delay_limit in [None, Some(DelayLimit::Factor(1.5))] {
             let mut nl_seq = redundant_circuit();
             let mut nl_par = redundant_circuit();

@@ -110,27 +110,28 @@ impl PhaseTimes {
     }
 }
 
-/// How often each analysis was refreshed incrementally (over the dirty
-/// cone of the committed edit) versus rebuilt from scratch. Only in-loop
-/// refreshes are counted; the one-time initial constructions are not.
+/// How often each analysis was refreshed over the dirty cone of a
+/// committed edit, and how often simulation ran over the whole netlist.
+/// Only in-loop refreshes are counted; the one-time initial
+/// constructions are not.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IncrementalStats {
-    /// Full STA rebuilds after a committed substitution.
-    pub full_sta_rebuilds: usize,
     /// Incremental STA updates over the dirty region.
     pub incremental_sta_updates: usize,
-    /// Whole-netlist simulation passes.
+    /// Whole-netlist simulation passes (the first round, and rounds
+    /// after a learned counterexample grew the pattern set).
     pub full_resims: usize,
     /// Post-commit cone resimulations into the retained value buffer.
     pub incremental_resims: usize,
-    /// O(n) circuit-power scans performed for commit bookkeeping.
-    pub full_power_rescans: usize,
     /// Incremental power updates (running-total adjustment over the
     /// dirty cone).
     pub incremental_power_updates: usize,
     /// Cross-checks of incremental state against from-scratch
     /// recomputation (only in `cross_check` mode).
     pub cross_checks: usize,
+    /// Consumed cached gains and proofs recomputed in place and found
+    /// bit-identical (only in `cross_check` mode).
+    pub cross_checked_values: usize,
 }
 
 /// Commit-guard activity: every committed substitution passes through a
@@ -242,9 +243,9 @@ pub struct OptimizeReport {
     pub cpu_seconds: f64,
     /// Per-phase wall-clock breakdown of `cpu_seconds`.
     pub phase: PhaseTimes,
-    /// Incremental-versus-full refresh counters.
+    /// Analysis refresh counters.
     pub incremental: IncrementalStats,
-    /// Resolved worker count the run used (1 = sequential path).
+    /// Resolved worker count the run used (1 = no speculation).
     pub jobs: usize,
     /// Candidate-evaluation pipeline counters and stage wall times.
     pub engine: EngineStats,
@@ -330,13 +331,11 @@ impl fmt::Display for OptimizeReport {
         )?;
         writeln!(
             f,
-            "refreshes: sta {}i/{}f, sim {}i/{}f, power {}i/{}f",
+            "refreshes: sta {}i, sim {}i/{}f, power {}i",
             self.incremental.incremental_sta_updates,
-            self.incremental.full_sta_rebuilds,
             self.incremental.incremental_resims,
             self.incremental.full_resims,
             self.incremental.incremental_power_updates,
-            self.incremental.full_power_rescans,
         )?;
         write!(
             f,

@@ -5,7 +5,7 @@
 //! permissibility proofs are pure functions of the netlist until a
 //! commit mutates it. This crate provides the generic machinery that
 //! turns that loop into a speculative, work-stealing pipeline while
-//! keeping the *decisions* bit-identical to a sequential run:
+//! keeping the *decisions* bit-identical at any worker count:
 //!
 //! | module | provides |
 //! |--------|----------|

@@ -155,7 +155,7 @@ pub const PIPELINE_EDITS: &str = "passes.pipeline.edits";
 pub const PASSES_ATPG_CHECKS: &str = "passes.atpg.checks";
 /// Pass-layer substitutions rejected by the session's retained
 /// simulation patterns, each one an ATPG proof not run.
-pub const PASSES_SIM_REFUTED: &str = "passes.sim_refuted";
+pub const PASSES_SIM_REFUTED: &str = "passes.sim.refuted";
 
 // --- egraph.* — the equality-saturation pass ---
 

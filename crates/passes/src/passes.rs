@@ -367,10 +367,10 @@ impl Transform for RedundancyPass {
 /// input-pin switched capacitance whose extra delay fits the slack at
 /// a fixed required time.
 ///
-/// Where the standalone [`powder::resize::resize_for_power`] rebuilds
-/// timing and power from scratch per gate, this pass reads both from
-/// the session: timing is built once (pinned to the required time) and
-/// repaired incrementally after each swap.
+/// Timing and power come from the session: timing is built once
+/// (pinned to the required time) and repaired incrementally after each
+/// swap, and [`powder::resize::best_swap`] judges each gate against
+/// them.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ResizePass {
     /// Absolute required time for the slack computation; `None` pins it
@@ -485,6 +485,74 @@ mod tests {
                 .all(|g| !matches!(nl.kind(g), GateKind::Const(_))),
             "unused tie constants are swept"
         );
+    }
+
+    /// Runs [`ResizePass`] on `nl` under `required_time`.
+    fn resize(nl: Netlist, required_time: Option<f64>) -> (Netlist, PassReport) {
+        let mut sess = AnalysisSession::new(nl, SessionConfig::default());
+        let report = ResizePass::new(required_time).run(&mut sess, &PassBudget::default());
+        (sess.into_netlist(), report)
+    }
+
+    /// An oversized inverter driving a single small load gets downsized
+    /// when there is slack; never when the path is critical.
+    #[test]
+    fn downsizes_off_critical_inverter() {
+        let lib = Arc::new(lib2());
+        let inv2 = lib.find_by_name("inv2").unwrap();
+        let and2 = lib.find_by_name("and2").unwrap();
+        let inv1 = lib.find_by_name("inv1").unwrap();
+        let mut nl = Netlist::new("t", lib);
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        // Critical path: long inverter chain on b.
+        let mut chain = b;
+        for i in 0..6 {
+            chain = nl.add_cell(format!("c{i}"), inv1, &[chain]);
+        }
+        // Off-critical: strong inverter on a.
+        let big = nl.add_cell("big", inv2, &[a]);
+        let g = nl.add_cell("g", and2, &[big, chain]);
+        nl.add_output("f", g);
+
+        let (nl, report) = resize(nl, None);
+        nl.validate().unwrap();
+        assert_eq!(report.edits, 1, "{report}");
+        assert!(report.power_saved() > 0.0, "{report}");
+        // The strong inverter is gone.
+        let remaining: Vec<&str> = nl
+            .iter_live()
+            .filter_map(|id| nl.cell_id(id))
+            .map(|c| nl.library().cell_ref(c).name.as_str())
+            .collect();
+        assert!(!remaining.contains(&"inv2"), "{remaining:?}");
+    }
+
+    #[test]
+    fn critical_gate_not_downsized() {
+        let lib = Arc::new(lib2());
+        let inv2 = lib.find_by_name("inv2").unwrap();
+        let mut nl = Netlist::new("t", lib);
+        let a = nl.add_input("a");
+        // inv2 alone on the (only, hence critical) path with zero slack.
+        let big = nl.add_cell("big", inv2, &[a]);
+        nl.add_output("f", big);
+        let (_, report) = resize(nl, None);
+        // inv1 is slower into the same load; with zero slack it must stay.
+        assert_eq!(report.edits, 0, "{report}");
+    }
+
+    #[test]
+    fn relaxed_required_time_enables_downsizing() {
+        let lib = Arc::new(lib2());
+        let inv2 = lib.find_by_name("inv2").unwrap();
+        let mut nl = Netlist::new("t", lib);
+        let a = nl.add_input("a");
+        let big = nl.add_cell("big", inv2, &[a]);
+        nl.add_output("f", big);
+        let (nl, report) = resize(nl, Some(100.0));
+        assert_eq!(report.edits, 1, "{report}");
+        nl.validate().unwrap();
     }
 
     /// g2 = (a & b) & !b == 0, so g3 = g2 | g1 == a & b: one tie strands

@@ -47,12 +47,16 @@ fn start_daemon(
 
 fn bench_netlist() -> String {
     let lib = Arc::new(powder_library::lib2());
-    let nl = powder_benchmarks::build("c8", lib).expect("build c8");
+    let nl = powder_benchmarks::build("duke2", lib).expect("build duke2");
     powder_netlist::blif::write_blif(&nl)
 }
 
-/// A job heavy enough (for a debug build) to keep the single runner
-/// busy while the test probes admission control.
+/// A job that outlasts the whole test at any build speed: unconstrained
+/// POWDER on duke2 takes about a minute even in a release build (one
+/// fixpoint iteration of eight), while the test needs the runner busy
+/// for well under a second. Only the test's own `cancel` ends it, and
+/// cancellation is prompt (POWDER checks its stop flag between
+/// decisions).
 fn slow_spec(tenant: &str) -> JobSpec {
     JobSpec {
         tenant: tenant.to_string(),
@@ -131,8 +135,8 @@ fn shedding_dedup_and_backoff_recovery() {
         client::submit_with_retries(&retry_addr, &spec, &retry_netlist, 12)
     });
     std::thread::sleep(Duration::from_millis(250));
-    // The cancels race against natural completion; either way the
-    // queue drains and the retrier must get in.
+    // Cancelling the running job and the queued one drains the queue,
+    // and the retrier must get in.
     client::cancel(&addr, &id_a).ok();
     client::cancel(&addr, &id_b).ok();
     let id_late = retrier

@@ -87,7 +87,7 @@ fn small_config(jobs: usize) -> OptimizeConfig {
 
 /// `--passes powder` must reproduce the standalone `optimize()` run
 /// bit for bit — same substitution decision sequence, same final
-/// netlist — on both the sequential and the parallel engine.
+/// netlist — with speculation off (jobs 1) and on (jobs 4).
 #[test]
 fn powder_pass_is_bit_identical_to_standalone_optimize() {
     for jobs in [1usize, 4] {
